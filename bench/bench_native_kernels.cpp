@@ -107,24 +107,6 @@ BENCHMARK(BM_ApproxRsqrt);
 constexpr int kIrClusters = 8;
 constexpr std::int64_t kIrRounds = 8;
 
-/// Every built-in kernel (the same population the equivalence sweeps run).
-std::vector<kernel::KernelDef> builtin_kernels() {
-  const md::WaterModel& model = md::spc();
-  std::vector<kernel::KernelDef> defs;
-  for (const core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
-    defs.push_back(core::build_water_kernel(v, model));
-  }
-  defs.push_back(core::build_expanded_naive_kernel(model));
-  defs.push_back(core::build_expanded_energy_kernel(model));
-  for (const md::WaterModel& m : {md::spc(), md::tip5p(), md::ppc()}) {
-    defs.push_back(core::build_multisite_kernel(m));
-  }
-  defs.push_back(core::build_blocked_kernel(model, 1.0, 32));
-  return defs;
-}
-
 /// Deterministic randomized stream workload for one kernel: inputs sized
 /// so every conditional access of every iteration could fire, values in
 /// (0.5, 2.0) so sqrt/div stay finite (same scheme as the equivalence
@@ -163,7 +145,7 @@ struct IrWorkload {
 /// Registered dynamically (names come from the kernel defs).
 void register_ir_benchmarks() {
   std::uint64_t seed = 0x5eedbea7;
-  for (const kernel::KernelDef& def : builtin_kernels()) {
+  for (const kernel::KernelDef& def : core::builtin_kernels(32)) {
     // Shared pointers keep the per-case state alive inside the lambdas
     // google-benchmark stores.
     auto d = std::make_shared<kernel::KernelDef>(def);
@@ -224,7 +206,7 @@ int run_selfcheck() {
                  "bit-identical"});
   int failures = 0;
   std::uint64_t seed = 0x5eedbea7;
-  for (const kernel::KernelDef& def : builtin_kernels()) {
+  for (const kernel::KernelDef& def : core::builtin_kernels(32)) {
     IrWorkload w(def, seed++);
 
     // Bit-identity: lockstep runs both backends and throws on the first

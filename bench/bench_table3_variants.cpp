@@ -19,7 +19,6 @@
 #include "src/core/report.h"
 #include "src/core/run.h"
 #include "src/core/streammd.h"
-#include "src/kernel/opt.h"
 #include "src/kernel/schedule.h"
 #include "src/md/water.h"
 #include "src/sim/config.h"
@@ -66,23 +65,6 @@ int main(int argc, char** argv) {
       row.set("schedule_error", std::move(err));
       std::printf("  %-12s SCHEDULE FAILED: %s\n",
                   smd::core::variant_name(v), e.what());
-    }
-    // Verified-optimizer delta (kernel/opt.h): scheduled cycles/iteration
-    // before and after the bit-identity-preserving passes. The shipped
-    // kernels are hand-tuned, so the expected delta is ~0; a nonzero
-    // rewrite count here is the optimizer documenting what tuning buys.
-    {
-      smd::kernel::OptReport rep;
-      (void)smd::kernel::optimize_kernel(def, &rep);
-      smd::obs::Json opt = smd::obs::Json::object();
-      opt.set("rewrites", static_cast<std::int64_t>(rep.total_rewrites()));
-      opt.set("cycles_per_iteration_before", rep.cycles_per_iteration_before);
-      opt.set("cycles_per_iteration_after", rep.cycles_per_iteration_after);
-      row.set("optimizer", std::move(opt));
-      std::printf("  %-12s optimizer: %d rewrites, %.1f -> %.1f cycles/iteration\n",
-                  smd::core::variant_name(v), rep.total_rewrites(),
-                  rep.cycles_per_iteration_before,
-                  rep.cycles_per_iteration_after);
     }
     variants.push_back(std::move(row));
   }

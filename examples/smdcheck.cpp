@@ -3,7 +3,6 @@
 //
 //   smdcheck [--all] [--n-molecules N] [--verbose] [--json out.json]
 //   smdcheck --dataflow [--all] [--json out.json]
-//   smdcheck --opt-report [--json out.json]
 //
 // Default mode runs the IR verifier (analysis/verify_ir.h) over every
 // built-in kernel -- the four variant kernels, the expanded+energy kernel,
@@ -18,16 +17,11 @@
 // --dataflow prints the dataflow engine's per-kernel liveness report
 // (exact peak LRF pressure vs. the machine bound and vs. the dynamic
 // replay oracle) and fails if the static and measured pressures disagree
-// or the bound is exceeded. --opt-report runs the verified optimizer over
-// every kernel (plus the deliberately naive expanded kernel) and prints
-// what each pass removed and the scheduled cycles/iteration before and
-// after; it fails if an optimized kernel no longer verifies cleanly or
-// tripped the schedule non-regression guard.
+// or the bound is exceeded.
 #include <cmath>
 #include <cstdio>
 #include <cstring>
 #include <string>
-#include <vector>
 
 #include "bench/bench_io.h"
 #include "src/analysis/check_stream.h"
@@ -37,37 +31,12 @@
 #include "src/core/kernels.h"
 #include "src/core/program.h"
 #include "src/core/run.h"
-#include "src/kernel/opt.h"
-#include "src/md/water.h"
 #include "src/sim/config.h"
 
 namespace {
 
 using smd::analysis::Diagnostics;
 using smd::analysis::Severity;
-
-/// Every built-in kernel definition, in catalogue order. `with_naive`
-/// additionally appends the deliberately inefficient expanded kernel
-/// (optimizer demo fodder; not a shipped kernel, so the default verify
-/// pass skips it).
-std::vector<smd::kernel::KernelDef> builtin_kernels(bool with_naive) {
-  namespace core = smd::core;
-  namespace md = smd::md;
-  const md::WaterModel model = md::spc();
-  std::vector<smd::kernel::KernelDef> defs;
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
-    defs.push_back(core::build_water_kernel(v, model));
-  }
-  defs.push_back(core::build_expanded_energy_kernel(model));
-  for (const md::WaterModel& m : {md::spc(), md::tip5p(), md::ppc()}) {
-    defs.push_back(core::build_multisite_kernel(m));
-  }
-  defs.push_back(core::build_blocked_kernel(model, 1.0, 64));
-  if (with_naive) defs.push_back(core::build_expanded_naive_kernel(model));
-  return defs;
-}
 
 /// `smdcheck --dataflow`: per-kernel liveness/pressure report. Returns the
 /// number of kernels whose static pressure disagrees with the dynamic
@@ -78,7 +47,7 @@ int run_dataflow_report(smd::benchio::JsonOut& json, int lrf_words) {
   int failures = 0;
   std::printf("%-28s %6s %7s %7s %8s %6s\n", "kernel", "regs", "points",
               "static", "dynamic", "bound");
-  for (const smd::kernel::KernelDef& def : builtin_kernels(true)) {
+  for (const smd::kernel::KernelDef& def : smd::core::builtin_kernels(64)) {
     const analysis::KernelDataflow dfa(def);
     const int stat = dfa.max_live_pressure();
     const int dyn = analysis::dynamic_lrf_pressure(def);
@@ -105,44 +74,6 @@ int run_dataflow_report(smd::benchio::JsonOut& json, int lrf_words) {
     list.push_back(std::move(j));
   }
   json.root().set("dataflow", std::move(list));
-  return failures;
-}
-
-/// `smdcheck --opt-report`: run the verified optimizer over every kernel
-/// and report what the passes removed. Returns the number of kernels whose
-/// optimized form failed to re-verify or tripped the regression guard.
-int run_opt_report(smd::benchio::JsonOut& json,
-                   const smd::sim::MachineConfig& cfg) {
-  namespace analysis = smd::analysis;
-  namespace kernel = smd::kernel;
-  smd::obs::Json list = smd::obs::Json::array();
-  int failures = 0;
-  analysis::VerifyOptions vopts;
-  vopts.lrf_words = cfg.lrf_words_per_cluster;
-  for (const kernel::KernelDef& def : builtin_kernels(true)) {
-    kernel::OptReport rep;
-    const kernel::KernelDef opt = kernel::optimize_kernel(def, &rep, cfg.sched);
-    const Diagnostics diags = analysis::verify_kernel(opt, vopts);
-    const bool ok = diags.errors() == 0 && !rep.reverted_schedule_regression;
-    if (!ok) ++failures;
-    std::printf("%s%s", rep.str().c_str(),
-                diags.errors() > 0 ? diags.format().c_str() : "");
-    smd::obs::Json j = smd::obs::Json::object();
-    j.set("kernel", rep.kernel);
-    j.set("const_folded", rep.const_folded);
-    j.set("copies_propagated", rep.copies_propagated);
-    j.set("cse_replaced", rep.cse_replaced);
-    j.set("dce_removed", rep.dce_removed);
-    j.set("dead_stream_reads_removed", rep.dead_stream_reads_removed);
-    j.set("dead_streams_removed", rep.dead_streams_removed);
-    j.set("passes", rep.passes);
-    j.set("cycles_per_iteration_before", rep.cycles_per_iteration_before);
-    j.set("cycles_per_iteration_after", rep.cycles_per_iteration_after);
-    j.set("reverted_schedule_regression", rep.reverted_schedule_regression);
-    j.set("reverifies_clean", diags.errors() == 0);
-    list.push_back(std::move(j));
-  }
-  json.root().set("opt_report", std::move(list));
   return failures;
 }
 
@@ -184,11 +115,11 @@ struct Report {
 int main(int argc, char** argv) {
   using namespace smd;
   static const char* kUsage =
-      "smdcheck [--dataflow] [--opt-report] [--n-molecules N] [--verbose] "
+      "smdcheck [--dataflow] [--n-molecules N] [--verbose] "
       "[--all] [--json out.json]";
   benchio::check_flags(argc, argv, "smdcheck", kUsage,
                        {"--n-molecules", "--json"},
-                       {"--dataflow", "--opt-report", "--verbose", "--all"});
+                       {"--dataflow", "--verbose", "--all"});
   benchio::JsonOut json(argc, argv, "smdcheck");
 
   const int n_molecules =
@@ -196,21 +127,15 @@ int main(int argc, char** argv) {
                                 kUsage);
   Report report;
   bool dataflow_mode = false;
-  bool opt_report_mode = false;
   for (int i = 1; i < argc; ++i) {
     if (std::strcmp(argv[i], "--verbose") == 0) report.verbose = true;
     if (std::strcmp(argv[i], "--dataflow") == 0) dataflow_mode = true;
-    if (std::strcmp(argv[i], "--opt-report") == 0) opt_report_mode = true;
   }
 
   const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
 
-  if (dataflow_mode || opt_report_mode) {
-    int failures = 0;
-    if (dataflow_mode) {
-      failures += run_dataflow_report(json, cfg.lrf_words_per_cluster);
-    }
-    if (opt_report_mode) failures += run_opt_report(json, cfg);
+  if (dataflow_mode) {
+    const int failures = run_dataflow_report(json, cfg.lrf_words_per_cluster);
     json.root().set("failures", failures);
     std::printf("smdcheck: %d failures\n", failures);
     return failures > 0 ? 1 : 0;
@@ -220,23 +145,7 @@ int main(int argc, char** argv) {
   vopts.lrf_words = cfg.lrf_words_per_cluster;
 
   // ---- Pass 1: IR verifier over every built-in kernel. ---------------------
-  const md::WaterModel model = md::spc();
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
-    const kernel::KernelDef def = core::build_water_kernel(v, model);
-    report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
-  }
-  {
-    const kernel::KernelDef def = core::build_expanded_energy_kernel(model);
-    report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
-  }
-  for (const md::WaterModel& m : {md::spc(), md::tip5p(), md::ppc()}) {
-    const kernel::KernelDef def = core::build_multisite_kernel(m);
-    report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
-  }
-  {
-    const kernel::KernelDef def = core::build_blocked_kernel(model, 1.0, 64);
+  for (const kernel::KernelDef& def : core::builtin_kernels(64)) {
     report.add("kernel", def.name, analysis::verify_kernel(def, vopts));
   }
 

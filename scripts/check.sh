@@ -11,11 +11,9 @@
 # Each preset also runs `smdcheck --all` (the static verifier over every
 # built-in kernel, stream program and blocking scheme — see DESIGN.md
 # "Static checking"), `smdcheck --dataflow --all` (exact liveness
-# pressure vs. the dynamic replay oracle), the optimizer equivalence
-# sweep (bit-identity of optimized kernels, DESIGN.md section 12) and
-# `smdtune --paper --jobs 4` (the parallel design-space search
-# reproducing the paper's tuned points — see EXPERIMENTS.md
-# "Design-space exploration"). clang-tidy, when available, gates
+# pressure vs. the dynamic replay oracle) and `smdtune --paper --jobs 4`
+# (the parallel design-space search reproducing the paper's tuned points
+# — see EXPERIMENTS.md "Design-space exploration"). clang-tidy, when available, gates
 # src/analysis and src/kernel (warnings as errors; escape hatch
 # SMD_TIDY_NO_GATE=1) and advises on the rest of src/.
 set -euo pipefail
@@ -41,14 +39,6 @@ for preset in "${presets[@]}"; do
     # divergence is named in the log even when other tests also fail.
     echo "==== lockstep engine cross-check (${preset}) ===="
     ctest --preset "${preset}" -R lockstep_test --output-on-failure
-    # Optimizer equivalence gate (DESIGN.md section 12): the verified
-    # optimizer's output must be bit-identical to its input -- full
-    # lockstep sweep over the Table-3 variants plus the naive kernel
-    # under both SDR policies, interp-level sweeps, and the randomized
-    # optimize-then-reverify property. A hard gate: optimizer changes do
-    # not land unless this passes under both presets.
-    echo "==== optimizer equivalence sweep (${preset}) ===="
-    ctest --preset "${preset}" -R opt_equivalence_test --output-on-failure
   fi
   # Kernel-backend equivalence gate (DESIGN.md section 17): the compiled
   # threaded-code VM must stay bit-identical to the reference interpreter
@@ -100,7 +90,7 @@ print(f"telemetry artifacts parse back: {len(doc['traceEvents'])} trace "
       f"events, {len(lines)} event-log lines")
 PYEOF
   fi
-  # Observability + service suites (DESIGN.md sections 14-15): histogram
+  # Observability + service suites (DESIGN.md section 15): histogram
   # quantile bound, span partition property, event-log torn-line
   # tolerance, exporter cadence. Under every preset -- tsan is the
   # data-race gate for the svc pool, the histograms and the span log.

@@ -121,10 +121,14 @@ const std::vector<Instr>& section_instrs(const KernelDef& def, Section s) {
   return def.body;
 }
 
+namespace {
+
+/// Bit-exact constant evaluation of a pure instruction given constant
+/// operands; nullopt for stream ops. Every expression below is textually
+/// the interpreter's (interp.cpp), so a folded constant carries the exact
+/// bits execution would produce.
 std::optional<double> fold_instr(const Instr& in, double a, double b,
                                  double c) {
-  // Every expression below is textually the interpreter's (interp.cpp), so
-  // a folded constant carries the exact bits execution would produce.
   switch (in.op) {
     case Opcode::kConst:
       return in.imm;
@@ -161,8 +165,6 @@ std::optional<double> fold_instr(const Instr& in, double a, double b,
   }
   return std::nullopt;
 }
-
-namespace {
 
 std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <array>
 #include <stdexcept>
+#include <vector>
 
 #include "src/md/constants.h"
 
@@ -170,82 +171,6 @@ kernel::KernelDef build_expanded_kernel(const md::WaterModel& model) {
   return kb.build();
 }
 
-/// See kernels.h: same math and stream interface as the expanded kernel,
-/// written the way a first draft might be -- every inefficiency here is
-/// one the verified optimizer provably removes.
-kernel::KernelDef build_naive_kernel(const md::WaterModel& model) {
-  KernelBuilder kb("water_expanded_naive");
-  const int s_c = kb.stream_in("c_pos", kPosWords);
-  const int s_n = kb.stream_in("n_pos", kPosWords);
-  const int s_p = kb.stream_in("pbc", kPbcWords);
-  const int s_fc = kb.stream_out("f_c", kForceWords);
-  const int s_fn = kb.stream_out("f_n", kForceWords);
-
-  // Immediates "computed" at runtime (constant-folding fodder). The
-  // products associate left like emit_consts so the folded values match
-  // the tuned kernel bit-for-bit.
-  kb.section(Section::kPrologue);
-  Consts k;
-  k.zero = kb.constant(0.0);
-  k.one = kb.constant(1.0);  // never consumed: DCE fodder
-  const Reg two = kb.constant(2.0);
-  const Reg three = kb.constant(3.0);
-  k.six = kb.mul(two, three);
-  k.twelve = kb.mul(two, k.six);
-  k.c6 = kb.constant(model.c6);
-  k.c12 = kb.constant(model.c12);
-  const Reg ke = kb.constant(md::kCoulombFactor);
-  const Reg qo = kb.constant(model.sites[0].charge);
-  const Reg qh = kb.constant(model.sites[1].charge);
-  const Reg oo = kb.mul(kb.mul(ke, qo), qo);
-  const Reg oh = kb.mul(kb.mul(ke, qo), qh);
-  const Reg hh = kb.mul(kb.mul(ke, qh), qh);
-  for (int a = 0; a < 3; ++a) {
-    for (int b = 0; b < 3; ++b) {
-      const bool ao = a == 0, bo = b == 0;
-      k.qq[static_cast<std::size_t>(a)][static_cast<std::size_t>(b)] =
-          (ao && bo) ? oo : ((ao || bo) ? oh : hh);
-    }
-  }
-
-  kb.section(Section::kBody);
-  const auto c = read9(kb, s_c);
-  const auto n_raw = read9(kb, s_n);
-  const auto p = read9(kb, s_p);
-  std::array<Reg, 9> n;
-  for (int i = 0; i < 9; ++i) {
-    n[static_cast<std::size_t>(i)] =
-        kb.add(n_raw[static_cast<std::size_t>(i)], p[static_cast<std::size_t>(i)]);
-  }
-  const PairSums sums = emit_interaction(kb, k, c, n, /*want_neighbor=*/true);
-
-  // Recompute the O-O pair's distance vector and r^2 from scratch (CSE
-  // fodder) and fold them into an r^4 nobody reads (DCE fodder).
-  const Reg dx2 = kb.sub(c[0], n[0]);
-  const Reg dy2 = kb.sub(c[1], n[1]);
-  const Reg dz2 = kb.sub(c[2], n[2]);
-  const Reg r2b = kb.madd(dz2, dz2, kb.madd(dy2, dy2, kb.mul(dx2, dx2)));
-  const Reg waste = kb.mul(r2b, r2b);
-  (void)waste;
-
-  // Pack the force writes through a two-step copy chain (copy-propagation
-  // fodder; the tuned pack9 moves each value once).
-  const auto pack9_chained = [&](const std::array<Reg, 9>& vals) {
-    std::array<Reg, 9> tmp;
-    for (int i = 0; i < 9; ++i) {
-      tmp[static_cast<std::size_t>(i)] = kb.mov(vals[static_cast<std::size_t>(i)]);
-    }
-    const auto block = kb.alloc_n(9);
-    for (int i = 0; i < 9; ++i) {
-      kb.mov_to(block[static_cast<std::size_t>(i)], tmp[static_cast<std::size_t>(i)]);
-    }
-    return block[0];
-  };
-  kb.write(s_fc, pack9_chained(sums.central), 9);
-  kb.write(s_fn, pack9_chained(sums.neighbor), 9);
-  return kb.build();
-}
-
 kernel::KernelDef build_fixed_like_kernel(const md::WaterModel& model,
                                           int L, bool want_neighbor,
                                           const char* name) {
@@ -347,10 +272,6 @@ kernel::KernelDef build_water_kernel(Variant variant,
       return build_variable_kernel(model);
   }
   throw std::runtime_error("unknown variant");
-}
-
-kernel::KernelDef build_expanded_naive_kernel(const md::WaterModel& model) {
-  return build_naive_kernel(model);
 }
 
 kernel::FlopCensus interaction_flops(const md::WaterModel& model) {
@@ -625,6 +546,21 @@ MultisiteProfile profile_multisite_kernel(const md::WaterModel& model,
       p.arithmetic_intensity * mem_words_per_cycle * clock_ghz;
   p.projected_gflops = std::min(compute_gflops, bandwidth_gflops);
   return p;
+}
+
+std::vector<kernel::KernelDef> builtin_kernels(int blocked_block_len) {
+  const md::WaterModel& model = md::spc();
+  std::vector<kernel::KernelDef> defs;
+  for (const Variant v : {Variant::kExpanded, Variant::kFixed,
+                          Variant::kVariable, Variant::kDuplicated}) {
+    defs.push_back(build_water_kernel(v, model));
+  }
+  defs.push_back(build_expanded_energy_kernel(model));
+  for (const md::WaterModel* m : {&md::spc(), &md::tip5p(), &md::ppc()}) {
+    defs.push_back(build_multisite_kernel(*m));
+  }
+  defs.push_back(build_blocked_kernel(model, 1.0, blocked_block_len));
+  return defs;
 }
 
 }  // namespace smd::core

@@ -18,6 +18,8 @@
 //                partial forces (each pair is computed twice instead).
 #pragma once
 
+#include <vector>
+
 #include "src/core/streammd.h"
 #include "src/kernel/ir.h"
 #include "src/kernel/schedule.h"
@@ -38,17 +40,6 @@ kernel::KernelDef build_water_kernel(Variant variant,
 /// convention, as actually emitted by these kernels (the census of the
 /// expanded kernel body). The paper quotes ~234 with 9 div + 9 sqrt.
 kernel::FlopCensus interaction_flops(const md::WaterModel& model);
-
-/// Deliberately inefficient twin of the expanded kernel, used to exercise
-/// and demonstrate the verified optimizer (kernel/opt.h): it computes the
-/// exact same per-pair forces through the same stream interface
-/// [c_pos, n_pos, pbc, f_c, f_n], but "computes" its immediates at runtime
-/// (constant-folding fodder), recomputes the first pair's distance vector
-/// (CSE fodder), carries a dead r^4 temporary (DCE fodder) and packs the
-/// force writes through two-step copy chains (copy-propagation fodder).
-/// optimize_kernel reduces it to the expanded kernel's cost; the lockstep
-/// equivalence sweep proves the rewrite is bit-identical.
-kernel::KernelDef build_expanded_naive_kernel(const md::WaterModel& model);
 
 /// Expanded-style kernel that additionally streams out the Equation-1
 /// energies (Coulomb, Lennard-Jones) per interaction -- GROMACS evaluates
@@ -108,5 +99,13 @@ MultisiteProfile profile_multisite_kernel(
 /// cell occupancy).
 kernel::KernelDef build_blocked_kernel(const md::WaterModel& model,
                                        double cutoff, int block_len);
+
+/// Every built-in kernel, in catalogue order: the four Table-3 variants,
+/// the expanded+energy kernel, the SPC/TIP5P/PPC multi-site kernels and
+/// the blocked kernel (cutoff 1.0 nm, `blocked_block_len` neighbor slots).
+/// Variant, energy and blocked kernels use the SPC model. This is the
+/// population the verifier, the VM equivalence sweep and the kernel-IR
+/// benchmarks run over.
+std::vector<kernel::KernelDef> builtin_kernels(int blocked_block_len);
 
 }  // namespace smd::core

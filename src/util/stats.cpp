@@ -1,7 +1,7 @@
 #include "src/util/stats.h"
 
+#include <algorithm>
 #include <cmath>
-#include <sstream>
 
 namespace smd::util {
 
@@ -21,45 +21,6 @@ double Accumulator::variance() const {
 }
 
 double Accumulator::stddev() const { return std::sqrt(variance()); }
-
-Histogram::Histogram(double lo, double hi, std::size_t buckets)
-    : lo_(lo), hi_(hi), counts_(buckets, 0) {}
-
-void Histogram::add(double x) {
-  // NaN compares false with everything, so it would fall through a clamp,
-  // and casting an out-of-range double to an integer is UB -- clamp in the
-  // double domain first and keep NaN out of the buckets entirely.
-  if (std::isnan(x)) {
-    ++nan_;
-    return;
-  }
-  const double span = hi_ - lo_;
-  const double pos = (x - lo_) / span * static_cast<double>(counts_.size());
-  const double last = static_cast<double>(counts_.size() - 1);
-  const auto idx =
-      static_cast<std::size_t>(std::clamp(pos, 0.0, last));
-  ++counts_[idx];
-  ++total_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  return lo_ + (hi_ - lo_) * static_cast<double>(i) /
-                   static_cast<double>(counts_.size());
-}
-
-std::string Histogram::ascii(std::size_t width) const {
-  std::uint64_t peak = 1;
-  for (auto c : counts_) peak = std::max(peak, c);
-  std::ostringstream os;
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    const auto bar = static_cast<std::size_t>(
-        static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-        static_cast<double>(width));
-    os << "[" << bucket_lo(i) << ") " << std::string(bar, '#') << " "
-       << counts_[i] << "\n";
-  }
-  return os.str();
-}
 
 double rel_err(double a, double b, double floor) {
   const double denom = std::max({std::fabs(a), std::fabs(b), floor});

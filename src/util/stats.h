@@ -1,12 +1,8 @@
 // Lightweight statistics accumulators used by the simulator and benches.
 #pragma once
 
-#include <algorithm>
 #include <cstddef>
-#include <cstdint>
 #include <limits>
-#include <string>
-#include <vector>
 
 namespace smd::util {
 
@@ -29,32 +25,6 @@ class Accumulator {
   double sum_ = 0.0;
   double min_ = std::numeric_limits<double>::infinity();
   double max_ = -std::numeric_limits<double>::infinity();
-};
-
-/// Fixed-bucket histogram over [lo, hi); out-of-range values (including
-/// +/-inf) clamp to the edge buckets, NaN inputs are counted separately
-/// and excluded from the buckets. Used for neighbor-count distributions
-/// and latency plots.
-class Histogram {
- public:
-  Histogram(double lo, double hi, std::size_t buckets);
-
-  void add(double x);
-  std::size_t bucket_count() const { return counts_.size(); }
-  std::uint64_t bucket(std::size_t i) const { return counts_[i]; }
-  double bucket_lo(std::size_t i) const;
-  std::uint64_t total() const { return total_; }
-  std::uint64_t nan_count() const { return nan_; }
-
-  /// Render as a compact ASCII bar chart.
-  std::string ascii(std::size_t width = 40) const;
-
- private:
-  double lo_;
-  double hi_;
-  std::vector<std::uint64_t> counts_;
-  std::uint64_t total_ = 0;
-  std::uint64_t nan_ = 0;
 };
 
 /// Relative error |a-b| / max(|a|,|b|,floor).

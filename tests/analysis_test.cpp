@@ -21,7 +21,6 @@
 #include "src/core/layouts.h"
 #include "src/core/program.h"
 #include "src/core/run.h"
-#include "src/md/water.h"
 #include "src/mem/memsys.h"
 #include "src/sim/config.h"
 #include "src/sim/streamop.h"
@@ -693,19 +692,7 @@ TEST(CheckScatter, RowOutOfRangeIsSP016) {
 // ---------------------------------------------------------------------------
 
 TEST(Property, EveryBuiltinKernelVariantIsLintClean) {
-  const md::WaterModel& model = md::spc();
-  std::vector<KernelDef> defs;
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
-    defs.push_back(core::build_water_kernel(v, model));
-  }
-  defs.push_back(core::build_expanded_energy_kernel(model));
-  for (const md::WaterModel* m : {&md::spc(), &md::tip5p(), &md::ppc()}) {
-    defs.push_back(core::build_multisite_kernel(*m));
-  }
-  defs.push_back(core::build_blocked_kernel(model, 1.0, 64));
-  for (const KernelDef& def : defs) {
+  for (const KernelDef& def : core::builtin_kernels(64)) {
     const Diagnostics d = analysis::verify_kernel(def);
     EXPECT_EQ(d.errors(), 0) << def.name << ":\n" << d.format();
     EXPECT_EQ(d.warnings(), 0) << def.name << ":\n" << d.format();
