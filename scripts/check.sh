@@ -49,6 +49,13 @@ for preset in "${presets[@]}"; do
   # executor cache sits on the multi-threaded tune/svc paths.
   echo "==== kernel VM equivalence sweep (${preset}) ===="
   ctest --preset "${preset}" -R vm_equivalence_test --output-on-failure
+  # Kernel cost cache (DESIGN.md section 17): cached costs bit-identical
+  # to fresh schedules, exact-content keys, uncached errors, eviction at
+  # capacity, single-flight misses. Runs under EVERY preset: under tsan it
+  # is the data-race gate for the process-wide cache every tune/svc
+  # worker shares.
+  echo "==== kernel cost cache (${preset}) ===="
+  ctest --preset "${preset}" -R kernel_cost_cache_test --output-on-failure
   echo "==== smdcheck --all (${preset}) ===="
   "${build_dir[${preset}]}/examples/smdcheck" --all
   echo "==== smdcheck --dataflow --all (${preset}) ===="

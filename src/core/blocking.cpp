@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/core/kernels.h"
+#include "src/sim/kernelexec.h"
 
 namespace smd::core {
 
@@ -136,8 +137,8 @@ BlockedImplProfile profile_blocked_implementation(
   const kernel::KernelDef def = build_blocked_kernel(
       sys.model(), cutoff, static_cast<int>(std::min<std::int64_t>(
                                slots_per_group, 1 << 20)));
-  const kernel::Schedule schedule = kernel::schedule_body(def, sched);
-  p.cycles_per_computed_pair = schedule.cycles_per_iteration();
+  const auto cost = sim::cached_kernel_cost(def, sched);
+  p.cycles_per_computed_pair = cost->body.cycles_per_iteration();
   p.est_kernel_cycles = static_cast<double>(p.computed_pairs) / n_clusters *
                         p.cycles_per_computed_pair;
   p.est_memory_cycles = p.words_total / mem_words_per_cycle;
@@ -214,10 +215,10 @@ AnalyticEstimate estimate_variant_run(const md::WaterSystem& sys,
   const VariantLayout layout = build_layout(variant, sys, half_list, lopts);
   const kernel::KernelDef def =
       build_water_kernel(variant, sys.model(), lopts.fixed_list_length);
-  const kernel::Schedule schedule = kernel::schedule_body(def, sched);
+  const auto cost = sim::cached_kernel_cost(def, sched);
 
   AnalyticEstimate e;
-  e.kernel_cycles = schedule.cycles_per_iteration() *
+  e.kernel_cycles = cost->body.cycles_per_iteration() *
                     static_cast<double>(layout.rounds) *
                     static_cast<double>(def.block_len);
   e.mem_words = static_cast<double>(layout.memory_words());

@@ -158,8 +158,9 @@ struct AnalyticEstimate {
 };
 
 /// Estimate one variant run without simulating it: builds the layout,
-/// schedules the kernel (memoized machinery in sim::KernelCostCache is
-/// not needed -- scheduling here is per-call but cheap), and assumes
+/// takes the kernel's schedule from the process-wide cost cache
+/// (sim::cached_kernel_cost -- a fresh schedule costs milliseconds, and the
+/// full simulation of the same candidate reuses it), and assumes
 /// perfectly overlapped transfers at `mem_words_per_cycle`.
 AnalyticEstimate estimate_variant_run(const md::WaterSystem& sys,
                                       const md::NeighborList& half_list,

@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "src/md/constants.h"
+#include "src/sim/kernelexec.h"
 
 namespace smd::core {
 namespace {
@@ -536,8 +537,8 @@ MultisiteProfile profile_multisite_kernel(const md::WaterModel& model,
   p.arithmetic_intensity =
       static_cast<double>(p.census.flops) / p.words_per_interaction;
 
-  const kernel::Schedule schedule = kernel::schedule_body(def, sched);
-  p.cycles_per_interaction = schedule.cycles_per_iteration();
+  const auto cost = sim::cached_kernel_cost(def, sched);
+  p.cycles_per_interaction = cost->body.cycles_per_iteration();
 
   const double compute_gflops = static_cast<double>(p.census.flops) *
                                 n_clusters / p.cycles_per_interaction *

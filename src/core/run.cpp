@@ -49,10 +49,10 @@ VariantResult assemble_result(const Problem& problem, Variant variant,
   res.srf_fraction = srf / total;
   res.mem_fraction = mem / total;
 
-  sim::KernelCostCache costs(cfg.sched);
-  const sim::KernelCost& cost = costs.get(kdef);
-  res.kernel_cycles_per_iteration = cost.body.cycles_per_iteration();
-  res.kernel_issue_rate = cost.body.issue_rate;
+  // The controller already scheduled kdef; this is a shared-cache hit.
+  const auto cost = sim::cached_kernel_cost(kdef, cfg.sched);
+  res.kernel_cycles_per_iteration = cost->body.cycles_per_iteration();
+  res.kernel_issue_rate = cost->body.issue_rate;
   return res;
 }
 

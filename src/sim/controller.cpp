@@ -416,8 +416,10 @@ class RunContext {
   }
 
   /// One executor per distinct KernelDef, constructed (verified + lowered)
-  /// on first launch and reused for every strip after -- the same caching
-  /// idiom as KernelCostCache. Keyed by pointer: defs outlive the run.
+  /// on first launch and reused for every strip after. Unlike the
+  /// content-keyed, process-wide cost cache, executors are per run (their
+  /// register files are mutable) and keyed by pointer: defs outlive the
+  /// run.
   kernel::KernelExec& executor_for(const kernel::KernelDef& def) {
     auto it = executors_.find(&def);
     if (it == executors_.end()) {

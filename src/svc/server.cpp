@@ -257,10 +257,9 @@ void Server::execute(const std::shared_ptr<InflightJob>& job) {
   bool have_result = false;
   {
     const std::lock_guard<std::mutex> lock(mu_);
-    const auto mit = memo_.find(job->hash);
-    if (mit != memo_.end()) {
-      outcome.metrics = mit->second.metrics;
-      outcome.payload = mit->second.payload;
+    if (const CachedResult* memo = memo_.find(job->hash)) {
+      outcome.metrics = memo->metrics;
+      outcome.payload = memo->payload;
       have_result = true;
     } else if (cache_.enabled() && cache_.lookup(job->hash, &outcome.metrics)) {
       have_result = true;  // payload rendered in the serialize phase
@@ -314,7 +313,7 @@ void Server::execute(const std::shared_ptr<InflightJob>& job) {
   // Publish into the memo and (for fresh simulations) the persistent layer.
   if (outcome.error == ErrorCode::kOk) {
     const std::lock_guard<std::mutex> lock(mu_);
-    memo_.emplace(job->hash, CachedResult{outcome.metrics, outcome.payload});
+    memo_.insert(job->hash, CachedResult{outcome.metrics, outcome.payload});
     if (!have_result && cache_.enabled()) {
       cache_.insert(job->hash, job->config, outcome.metrics);
     }

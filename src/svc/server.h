@@ -8,7 +8,9 @@
 //      running job attaches to it instead of resimulating -- one
 //      simulation serves every attached requester.
 //   2. *In-memory memo*: results completed during this server's lifetime
-//      are kept by hash; a later identical request is a lookup.
+//      are kept by hash; a later identical request is a lookup. The memo
+//      holds kMemoCapacity entries and evicts the oldest first; an
+//      evicted config simply re-simulates to the same bytes.
 //   3. *Persistent cache*: the tune::ResultCache on disk; a warm start
 //      serves previously simulated configs with zero simulations.
 //
@@ -63,8 +65,13 @@
 #include "src/svc/queue.h"
 #include "src/svc/wire.h"
 #include "src/tune/cache.h"
+#include "src/util/fifo_map.h"
 
 namespace smd::svc {
+
+/// Entries the in-memory memo holds before evicting the oldest (about
+/// 1 KB each; DESIGN.md section 13).
+inline constexpr std::size_t kMemoCapacity = 1024;
 
 struct ServerOptions {
   int workers = 2;            ///< worker threads; < 1 is a config error
@@ -274,7 +281,7 @@ class Server {
   std::condition_variable drain_cv_;
   std::unordered_map<std::uint64_t, std::shared_ptr<InflightJob>> inflight_;
   std::unordered_multimap<std::string, std::shared_ptr<RequestSlot>> by_id_;
-  std::unordered_map<std::uint64_t, CachedResult> memo_;
+  util::FifoMap<std::uint64_t, CachedResult> memo_{kMemoCapacity};
   tune::ResultCache cache_;
   std::size_t outstanding_ = 0;
   bool shutdown_ = false;

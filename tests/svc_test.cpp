@@ -289,6 +289,52 @@ TEST(Server, DuplicatesSimulateExactlyOnce) {
   EXPECT_EQ(probe.delta().simulated, 1);
 }
 
+TEST(Server, EvictedMemoEntryResimulatesByteIdentically) {
+  CounterProbe probe;
+  ServerOptions opts;
+  opts.workers = 4;
+  opts.queue_cap = kMemoCapacity;
+  Server server(opts);
+  // Distinct configs that share one kernel (a dram_gbps nudge each), so
+  // only the first simulation pays for scheduling.
+  const auto nudged = [](std::size_t k, const std::string& id) {
+    Request r = small_request(id);
+    r.config.dram_gbps = 38.4 + 0.001 * static_cast<double>(k);
+    return r;
+  };
+  const Response first = server.submit(nudged(0, "evict-first")).wait();
+  ASSERT_TRUE(first.ok()) << first.message;
+  ASSERT_EQ(first.served_by, "sim");
+
+  // kMemoCapacity newer results push the first one out of the memo.
+  std::vector<JobHandle> handles;
+  for (std::size_t k = 1; k <= kMemoCapacity; ++k) {
+    handles.push_back(server.submit(nudged(k, "evict-" + std::to_string(k))));
+  }
+  server.drain();
+  for (const JobHandle& h : handles) {
+    ASSERT_TRUE(h.wait().ok()) << h.id() << ": " << h.wait().message;
+    ASSERT_EQ(h.wait().served_by, "sim") << h.id();
+  }
+  const Response newest =
+      server.submit(nudged(kMemoCapacity, "evict-newest")).wait();
+  ASSERT_TRUE(newest.ok()) << newest.message;
+  EXPECT_EQ(newest.served_by, "cache") << "newest result left the memo";
+
+  const Response again = server.submit(nudged(0, "evict-again")).wait();
+  ASSERT_TRUE(again.ok()) << again.message;
+  EXPECT_EQ(again.served_by, "sim") << "oldest result was not evicted";
+  EXPECT_EQ(again.payload, first.payload)
+      << "re-simulation after eviction changed the payload";
+
+  server.drain();
+  const Deltas d = probe.delta();
+  const auto n = static_cast<std::int64_t>(kMemoCapacity);
+  EXPECT_EQ(d.submitted, n + 3);
+  EXPECT_EQ(d.submitted, d.completed + d.cancelled + d.rejected);
+  EXPECT_EQ(d.simulated, n + 2);
+}
+
 TEST(Server, WarmPersistentCacheServesWithZeroSimulations) {
   const std::string path = testing::TempDir() + "/svc_test_cache.json";
   std::remove(path.c_str());

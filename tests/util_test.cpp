@@ -2,7 +2,10 @@
 
 #include <cmath>
 #include <set>
+#include <stdexcept>
+#include <string>
 
+#include "src/util/fifo_map.h"
 #include "src/util/rng.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -115,6 +118,52 @@ TEST(Table, NumberFormatting) {
   EXPECT_EQ(Table::integer(-1000), "-1,000");
   EXPECT_EQ(Table::integer(999), "999");
   EXPECT_EQ(Table::percent(0.945, 1), "94.5%");
+}
+
+TEST(FifoMap, EvictsOldestInsertionFirst) {
+  FifoMap<int, std::string> m(3);
+  m.insert(1, "a");
+  m.insert(2, "b");
+  m.insert(3, "c");
+  EXPECT_EQ(m.size(), 3u);
+  // A lookup does not refresh an entry: eviction follows insertion order.
+  ASSERT_NE(m.find(1), nullptr);
+  EXPECT_EQ(m.insert(4, "d"), "d");
+  EXPECT_EQ(m.find(1), nullptr);
+  EXPECT_EQ(*m.find(2), "b");
+  EXPECT_EQ(*m.find(4), "d");
+  EXPECT_EQ(m.size(), 3u);
+  m.insert(5, "e");
+  EXPECT_EQ(m.find(2), nullptr);
+  EXPECT_EQ(*m.find(3), "c");
+  // An evicted key comes back as a new, newest entry.
+  m.insert(1, "a2");
+  EXPECT_EQ(m.find(3), nullptr);
+  EXPECT_EQ(*m.find(1), "a2");
+  EXPECT_EQ(m.size(), 3u);
+}
+
+TEST(FifoMap, PresentKeyKeepsItsValueAndEvictsNothing) {
+  FifoMap<int, std::string> m(2);
+  m.insert(1, "a");
+  m.insert(2, "b");
+  EXPECT_EQ(m.insert(1, "other"), "a");
+  EXPECT_EQ(*m.find(1), "a");
+  EXPECT_EQ(*m.find(2), "b");
+  EXPECT_EQ(m.size(), 2u);
+}
+
+TEST(FifoMap, CapacityOneAndZero) {
+  FifoMap<int, int> one(1);
+  for (int k = 0; k < 100; ++k) {
+    one.insert(k, k * k);
+    ASSERT_EQ(one.size(), 1u);
+    ASSERT_EQ(*one.find(k), k * k);
+    if (k > 0) {
+      ASSERT_EQ(one.find(k - 1), nullptr);
+    }
+  }
+  EXPECT_THROW((FifoMap<int, int>(0)), std::invalid_argument);
 }
 
 }  // namespace
