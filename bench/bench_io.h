@@ -5,9 +5,11 @@
 // the human-readable table output.
 #pragma once
 
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
+#include <limits>
 #include <stdexcept>
 #include <string>
 #include <utility>
@@ -15,7 +17,6 @@
 
 #include "src/core/schema.h"
 #include "src/obs/json.h"
-#include "src/sim/config.h"
 
 namespace smd::benchio {
 
@@ -105,11 +106,32 @@ inline double double_flag_or_exit(int argc, char** argv, const char* tool,
   }
 }
 
+/// Longest list a value-list flag may expand to, so a range such as
+/// `1:1e12:1` fails fast instead of allocating until memory runs out.
+inline constexpr std::size_t kMaxValueListLen = 4096;
+
 /// Parse "a,b,c" and "lo:hi:step" (inclusive ends) value lists -- the same
 /// syntax smdtune sweep axes use, so humans and the tuner drive the bench
-/// binaries uniformly. Throws std::invalid_argument on malformed input.
+/// binaries uniformly. Throws std::invalid_argument on malformed input,
+/// non-finite values and lists longer than kMaxValueListLen.
 inline std::vector<double> parse_value_list(const std::string& spec) {
   std::vector<double> out;
+  const auto number = [](const std::string& token) {
+    std::size_t pos = 0;
+    const double v = std::stod(token, &pos);
+    if (pos != token.size() || !std::isfinite(v)) {
+      throw std::invalid_argument("bad number '" + token + "'");
+    }
+    return v;
+  };
+  const auto push = [&out, &spec](double v) {
+    if (out.size() == kMaxValueListLen) {
+      throw std::invalid_argument("'" + spec + "' expands past " +
+                                  std::to_string(kMaxValueListLen) +
+                                  " values");
+    }
+    out.push_back(v);
+  };
   std::size_t start = 0;
   while (start <= spec.size()) {
     std::size_t end = spec.find(',', start);
@@ -118,63 +140,34 @@ inline std::vector<double> parse_value_list(const std::string& spec) {
     if (token.empty()) throw std::invalid_argument("empty value in '" + spec + "'");
     const std::size_t c1 = token.find(':');
     if (c1 == std::string::npos) {
-      out.push_back(std::stod(token));
+      push(number(token));
     } else {
       const std::size_t c2 = token.find(':', c1 + 1);
       if (c2 == std::string::npos) {
         throw std::invalid_argument("bad range '" + token + "' (want lo:hi:step)");
       }
-      const double lo = std::stod(token.substr(0, c1));
-      const double hi = std::stod(token.substr(c1 + 1, c2 - c1 - 1));
-      const double step = std::stod(token.substr(c2 + 1));
+      const double lo = number(token.substr(0, c1));
+      const double hi = number(token.substr(c1 + 1, c2 - c1 - 1));
+      const double step = number(token.substr(c2 + 1));
       if (step <= 0.0 || hi < lo) {
         throw std::invalid_argument("empty range '" + token + "'");
       }
-      for (double v = lo; v <= hi + 1e-9 * step; v += step) out.push_back(v);
+      for (double v = lo; v <= hi + 1e-9 * step; v += step) push(v);
     }
     start = end + 1;
   }
   return out;
 }
 
-/// Value of `--engine stepped|event|lockstep` (default "event"): which
-/// simulation core the bench runs on (sim::parse_engine). The engines are
-/// bit-identical in every reported statistic -- stepped exists for
-/// cross-checks and wall-clock comparisons, lockstep runs both and throws
-/// on divergence (DESIGN.md section 10).
-inline std::string engine_flag(int argc, char** argv) {
-  const std::string v = flag_value(argc, argv, "engine");
-  if (v.empty()) return "event";
-  try {
-    (void)sim::parse_engine(v);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "--engine: %s\n", e.what());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// Value of `--kernel-backend interp|vm|lockstep` (default "vm"): which
-/// functional kernel executor runs inside the simulator
-/// (kernel::parse_kernel_backend). The backends are bit-identical in
-/// every output word and census field -- interp is the reference,
-/// lockstep runs both and throws on divergence (DESIGN.md section 17).
-inline std::string kernel_backend_flag(int argc, char** argv) {
-  const std::string v = flag_value(argc, argv, "kernel-backend");
-  if (v.empty()) return "vm";
-  try {
-    (void)kernel::parse_kernel_backend(v);
-  } catch (const std::exception& e) {
-    std::fprintf(stderr, "--kernel-backend: %s\n", e.what());
-    std::exit(2);
-  }
-  return v;
-}
-
-/// parse_value_list, rounded to int.
+/// parse_value_list, rounded to int; values outside int range throw
+/// std::invalid_argument.
 inline std::vector<int> parse_int_list(const std::string& spec) {
   std::vector<int> out;
   for (const double v : parse_value_list(spec)) {
+    if (v < std::numeric_limits<int>::min() ||
+        v > std::numeric_limits<int>::max()) {
+      throw std::invalid_argument("value out of int range in '" + spec + "'");
+    }
     out.push_back(static_cast<int>(v + (v >= 0 ? 0.5 : -0.5)));
   }
   return out;

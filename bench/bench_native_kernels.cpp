@@ -9,7 +9,7 @@
 //   bench_native_kernels [--json path] [--selfcheck] [google-benchmark args]
 //
 // `--selfcheck` skips google-benchmark entirely: it proves interp/vm
-// bit-identity on every built-in kernel (KernelBackend::kLockstep) and
+// bit-identity on every built-in kernel (kernel::diff_backends) and
 // requires the VM to be strictly faster than the interpreter on each,
 // exiting 1 otherwise -- the measured form of the DESIGN.md section 17
 // claim, wired into scripts/check.sh.
@@ -195,9 +195,8 @@ double min_batch_seconds(F&& fn, int batches, int runs) {
   return best;
 }
 
-/// The check.sh gate: interp/vm bit-identity (lockstep throws on any
-/// divergence) and VM strictly faster, per built-in kernel. Exits 1 on
-/// any failure.
+/// The check.sh gate: interp/vm bit-identity (kernel::diff_backends) and
+/// VM strictly faster, per built-in kernel. Exits 1 on any failure.
 int run_selfcheck() {
   std::printf("== kernel IR: interpreter vs. compiled VM "
               "(%d clusters, %lld rounds) ==\n\n",
@@ -209,19 +208,16 @@ int run_selfcheck() {
   for (const kernel::KernelDef& def : core::builtin_kernels(32)) {
     IrWorkload w(def, seed++);
 
-    // Bit-identity: lockstep runs both backends and throws on the first
-    // diverging output word or census field.
-    bool identical = true;
+    // Bit-identity: both backends on the same inputs, compared on every
+    // census field and every output word's bit pattern.
     std::string divergence;
     try {
-      kernel::KernelExec lock(def, kIrClusters,
-                              kernel::KernelBackend::kLockstep);
-      w.clear_sinks();
-      (void)lock.run(w.bindings, kIrRounds);
+      divergence =
+          kernel::diff_backends(def, kIrClusters, w.bindings, kIrRounds);
     } catch (const std::exception& e) {
-      identical = false;
       divergence = e.what();
     }
+    const bool identical = divergence.empty();
 
     kernel::Interpreter interp(def, kIrClusters);
     kernel::CompiledKernel vm(def, kIrClusters);

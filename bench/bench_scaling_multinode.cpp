@@ -92,10 +92,7 @@ int main(int argc, char** argv) {
   const std::string mol_flag = benchio::flag_value(argc, argv, "molecules");
   if (!mol_flag.empty()) setup.n_molecules = std::stoi(mol_flag);
   const core::Problem problem = core::Problem::make(setup);
-  sim::MachineConfig node_cfg = sim::MachineConfig::merrimac();
-  node_cfg.engine = sim::parse_engine(benchio::engine_flag(argc, argv));
-  node_cfg.kernel_backend =
-      kernel::parse_kernel_backend(benchio::kernel_backend_flag(argc, argv));
+  const sim::MachineConfig node_cfg = sim::MachineConfig::merrimac();
   const auto variable =
       core::run_variant(problem, core::Variant::kVariable, node_cfg);
 

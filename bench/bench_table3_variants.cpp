@@ -6,11 +6,8 @@
 //
 // With `--molecules N[,N...]` the bench additionally runs every variant
 // through the cycle-accurate simulator at each molecule count and reports
-// simulated cycles plus host wall-clock per variant. Combined with
-// `--engine stepped|event|lockstep` this is the engine-performance
-// harness: the two engines return bit-identical statistics, so comparing
-// their wall-clock at a fixed molecule count isolates simulator speed
-// (EXPERIMENTS.md records the event-engine speedup measured this way).
+// simulated cycles plus host wall-clock per variant, on the default
+// engine and kernel backend.
 #include <chrono>
 #include <cstdio>
 
@@ -25,14 +22,6 @@
 
 int main(int argc, char** argv) {
   smd::benchio::JsonOut jout(argc, argv, "bench_table3_variants");
-  // Parse (and so validate) the engine/backend flags up front: a bad
-  // value must exit 2 even when --molecules is absent and no simulation
-  // would consume it.
-  const smd::sim::SimEngine engine =
-      smd::sim::parse_engine(smd::benchio::engine_flag(argc, argv));
-  const smd::kernel::KernelBackend kernel_backend =
-      smd::kernel::parse_kernel_backend(
-          smd::benchio::kernel_backend_flag(argc, argv));
   std::printf("== Table 3: variants of StreamMD ==\n%s\n",
               smd::core::format_variants_table().c_str());
   smd::obs::Json variants = smd::obs::Json::array();
@@ -84,12 +73,8 @@ int main(int argc, char** argv) {
       smd::core::ExperimentSetup setup;
       setup.n_molecules = n;
       const smd::core::Problem problem = smd::core::Problem::make(setup);
-      smd::sim::MachineConfig cfg = smd::sim::MachineConfig::merrimac();
-      cfg.engine = engine;
-      cfg.kernel_backend = kernel_backend;
-      std::printf("\n== simulating %d molecules (%s engine, %s kernels) ==\n",
-                  n, smd::sim::engine_name(engine),
-                  smd::kernel::kernel_backend_name(kernel_backend));
+      const smd::sim::MachineConfig cfg = smd::sim::MachineConfig::merrimac();
+      std::printf("\n== simulating %d molecules ==\n", n);
       const auto t0 = std::chrono::steady_clock::now();
       const auto results = smd::core::run_all_variants(problem, cfg);
       const double wall_ms =
@@ -98,9 +83,6 @@ int main(int argc, char** argv) {
               .count();
       smd::obs::Json row = smd::obs::Json::object();
       row.set("molecules", static_cast<std::int64_t>(n));
-      row.set("engine", smd::sim::engine_name(engine));
-      row.set("kernel_backend",
-              smd::kernel::kernel_backend_name(kernel_backend));
       row.set("wall_ms", wall_ms);
       smd::obs::Json runs = smd::obs::Json::array();
       for (const auto& r : results) {

@@ -13,9 +13,11 @@
 # "Static checking"), `smdcheck --dataflow --all` (exact liveness
 # pressure vs. the dynamic replay oracle) and `smdtune --paper --jobs 4`
 # (the parallel design-space search reproducing the paper's tuned points
-# — see EXPERIMENTS.md "Design-space exploration"). clang-tidy, when available, gates
-# src/analysis and src/kernel (warnings as errors; escape hatch
-# SMD_TIDY_NO_GATE=1) and advises on the rest of src/.
+# — see EXPERIMENTS.md "Design-space exploration"). The default preset
+# also builds the perfbench harness (build/perfbench) without running it.
+# clang-tidy, when available, gates src/analysis and src/kernel (warnings
+# as errors; escape hatch SMD_TIDY_NO_GATE=1) and advises on the rest of
+# src/.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -34,19 +36,23 @@ for preset in "${presets[@]}"; do
   if [ "${preset}" = default ] || [ "${preset}" = asan-ubsan ]; then
     # Engine equivalence gate (DESIGN.md section 10): the event-driven
     # simulation core must stay bit-identical to the cycle-stepped
-    # reference -- randomized programs plus all four StreamMD variants in
-    # lockstep. Part of the suite above; re-run standalone so a lockstep
-    # divergence is named in the log even when other tests also fail.
+    # reference -- explicit stepped/event pairs (tests/differential.h)
+    # over randomized programs under both SDR policies plus all four
+    # StreamMD variants, comparing RunStats and the final memory image.
+    # Part of the suite above; re-run standalone so a divergence is named
+    # in the log even when other tests also fail.
     echo "==== lockstep engine cross-check (${preset}) ===="
     ctest --preset "${preset}" -R lockstep_test --output-on-failure
   fi
   # Kernel-backend equivalence gate (DESIGN.md section 17): the compiled
   # threaded-code VM must stay bit-identical to the reference interpreter
-  # -- word-by-word outputs and field-by-field InterpStats over every
-  # built-in kernel, the Table-3 variants under both SDR policies in
-  # lockstep, and randomized programs with conditional/broadcast
-  # transfers. Runs under EVERY preset: tsan included, because the VM's
-  # executor cache sits on the multi-threaded tune/svc paths.
+  # -- explicit interp/vm pairs: word-by-word outputs and field-by-field
+  # InterpStats (kernel::diff_backends) over every built-in kernel and
+  # randomized programs with conditional/broadcast transfers, and full
+  # Table-3 variant runs under both SDR policies (tests/differential.h:
+  # RunStats plus the final memory image). Runs under EVERY preset: tsan
+  # included, because the VM's executor cache sits on the multi-threaded
+  # tune/svc paths.
   echo "==== kernel VM equivalence sweep (${preset}) ===="
   ctest --preset "${preset}" -R vm_equivalence_test --output-on-failure
   # Kernel cost cache (DESIGN.md section 17): cached costs bit-identical
@@ -114,8 +120,9 @@ PYEOF
   fi
   if [ "${preset}" = default ]; then
     # Kernel-backend scoreboard (EXPERIMENTS.md "Interpreter vs. compiled
-    # VM"): per built-in kernel, the VM must be bit-identical AND strictly
-    # faster than the interpreter; either violation exits non-zero.
+    # VM"): per built-in kernel, the VM must be bit-identical
+    # (kernel::diff_backends) AND strictly faster than the interpreter;
+    # either violation exits non-zero.
     echo "==== bench_native_kernels --selfcheck (${preset}) ===="
     "${build_dir[${preset}]}/bench/bench_native_kernels" --selfcheck
     # Benchmark-regression gate (see EXPERIMENTS.md "Profiling and
@@ -128,6 +135,13 @@ PYEOF
       echo "==== smdprof --record-baseline (first run) ===="
       "${build_dir[${preset}]}/examples/smdprof" --record-baseline BENCH_baseline.json
     fi
+    # Benchmark harness (perfbench/, a CMake package of its own that
+    # compiles src/ again): built only, not run, so a library API change
+    # that breaks the harness fails here instead of in the benchmark run.
+    echo "==== perfbench harness build (${preset}) ===="
+    cmake -S perfbench -B "${build_dir[${preset}]}/perfbench"
+    cmake --build "${build_dir[${preset}]}/perfbench" --target perfbench \
+      -j "$(nproc)"
   fi
 done
 

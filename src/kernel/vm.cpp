@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <bit>
 #include <cmath>
+#include <cstdio>
 #include <stdexcept>
 
 #include "src/analysis/verify_ir.h"
@@ -43,24 +44,14 @@ void add_scaled(FlopCensus& acc, const FlopCensus& c, std::int64_t n) {
   acc.words_written += c.words_written * n;
 }
 
+std::string hex_bits(double v) {
+  char buf[24];
+  std::snprintf(buf, sizeof buf, "0x%016llx",
+                static_cast<unsigned long long>(std::bit_cast<std::uint64_t>(v)));
+  return buf;
+}
+
 }  // namespace
-
-const char* kernel_backend_name(KernelBackend b) {
-  switch (b) {
-    case KernelBackend::kInterp: return "interp";
-    case KernelBackend::kVm: return "vm";
-    case KernelBackend::kLockstep: return "lockstep";
-  }
-  return "unknown";
-}
-
-KernelBackend parse_kernel_backend(const std::string& name) {
-  if (name == "interp") return KernelBackend::kInterp;
-  if (name == "vm") return KernelBackend::kVm;
-  if (name == "lockstep") return KernelBackend::kLockstep;
-  throw std::invalid_argument("unknown kernel backend '" + name +
-                              "' (want interp|vm|lockstep)");
-}
 
 std::string diff_interp_stats(const InterpStats& a, const InterpStats& b) {
   const auto diff = [](const char* field, std::int64_t x, std::int64_t y) {
@@ -451,66 +442,70 @@ InterpStats CompiledKernel::run(const StreamBindings& bindings,
 // ---------------------------------------------------------------------------
 
 KernelExec::KernelExec(const KernelDef& def, int n_clusters,
-                       KernelBackend backend)
-    : backend_(backend), name_(def.name) {
-  if (backend != KernelBackend::kVm) interp_.emplace(def, n_clusters);
-  if (backend != KernelBackend::kInterp) vm_.emplace(def, n_clusters);
+                       KernelBackend backend) {
+  if (backend == KernelBackend::kInterp) {
+    interp_.emplace(def, n_clusters);
+  } else {
+    vm_.emplace(def, n_clusters);
+  }
 }
 
 InterpStats KernelExec::run(const StreamBindings& bindings,
                             std::int64_t rounds) {
-  switch (backend_) {
-    case KernelBackend::kInterp:
-      return interp_->run(bindings, rounds);
-    case KernelBackend::kVm:
-      return vm_->run(bindings, rounds);
-    case KernelBackend::kLockstep:
+  return vm_ ? vm_->run(bindings, rounds) : interp_->run(bindings, rounds);
+}
+
+// ---------------------------------------------------------------------------
+// diff_backends
+// ---------------------------------------------------------------------------
+
+std::string diff_backends(const KernelDef& def, int n_clusters,
+                          const StreamBindings& bindings,
+                          std::int64_t rounds) {
+  const std::size_t n = bindings.outputs.size();
+  const auto with_sinks = [&](std::vector<std::vector<double>>& sinks) {
+    sinks.resize(n);
+    StreamBindings b;
+    b.inputs = bindings.inputs;
+    b.outputs.assign(n, nullptr);
+    for (std::size_t s = 0; s < n; ++s) {
+      if (bindings.outputs[s] != nullptr) b.outputs[s] = &sinks[s];
+    }
+    return b;
+  };
+  std::vector<std::vector<double>> ref;
+  std::vector<std::vector<double>> out;
+  const InterpStats ref_stats =
+      Interpreter(def, n_clusters).run(with_sinks(ref), rounds);
+  const InterpStats vm_stats =
+      CompiledKernel(def, n_clusters).run(with_sinks(out), rounds);
+
+  std::string diff = diff_interp_stats(ref_stats, vm_stats);
+  const auto report = [&diff](const std::string& what) {
+    diff += (diff.empty() ? "" : "; ") + what;
+  };
+  for (std::size_t s = 0; s < n; ++s) {
+    const std::string where = "stream " + std::to_string(s);
+    if (ref[s].size() != out[s].size()) {
+      report(where + " length interp=" + std::to_string(ref[s].size()) +
+             " vm=" + std::to_string(out[s].size()));
       break;
-  }
-
-  // Lockstep: the VM runs first against scratch sinks, then the reference
-  // interpreter against the real ones; any divergence -- a stats field or
-  // a single output word's bit pattern -- throws.
-  std::vector<std::vector<double>> scratch(bindings.outputs.size());
-  StreamBindings vm_bindings;
-  vm_bindings.inputs = bindings.inputs;
-  vm_bindings.outputs.resize(bindings.outputs.size(), nullptr);
-  std::vector<std::size_t> pre_size(bindings.outputs.size(), 0);
-  for (std::size_t s = 0; s < bindings.outputs.size(); ++s) {
-    if (bindings.outputs[s] != nullptr) {
-      vm_bindings.outputs[s] = &scratch[s];
-      pre_size[s] = bindings.outputs[s]->size();
+    }
+    const auto mismatch = std::mismatch(
+        ref[s].begin(), ref[s].end(), out[s].begin(),
+        [](double a, double b) {
+          return std::bit_cast<std::uint64_t>(a) ==
+                 std::bit_cast<std::uint64_t>(b);
+        });
+    if (mismatch.first != ref[s].end()) {
+      report(where + " word " +
+             std::to_string(mismatch.first - ref[s].begin()) +
+             " interp=" + hex_bits(*mismatch.first) +
+             " vm=" + hex_bits(*mismatch.second));
+      break;
     }
   }
-  const InterpStats vm_stats = vm_->run(vm_bindings, rounds);
-  const InterpStats interp_stats = interp_->run(bindings, rounds);
-
-  const std::string d = diff_interp_stats(interp_stats, vm_stats);
-  if (!d.empty()) {
-    throw std::runtime_error("kernel '" + name_ +
-                             "': interp/vm lockstep stats divergence: " + d);
-  }
-  for (std::size_t s = 0; s < bindings.outputs.size(); ++s) {
-    if (bindings.outputs[s] == nullptr) continue;
-    const auto& ref = *bindings.outputs[s];
-    const std::size_t appended = ref.size() - pre_size[s];
-    if (appended != scratch[s].size()) {
-      throw std::runtime_error(
-          "kernel '" + name_ + "': interp/vm lockstep output-length " +
-          "divergence on stream " + std::to_string(s) + ": interp=" +
-          std::to_string(appended) + " vm=" + std::to_string(scratch[s].size()));
-    }
-    for (std::size_t w = 0; w < appended; ++w) {
-      const double a = ref[pre_size[s] + w];
-      const double b = scratch[s][w];
-      if (std::bit_cast<std::uint64_t>(a) != std::bit_cast<std::uint64_t>(b)) {
-        throw std::runtime_error(
-            "kernel '" + name_ + "': interp/vm lockstep word divergence on " +
-            "stream " + std::to_string(s) + " word " + std::to_string(w));
-      }
-    }
-  }
-  return interp_stats;
+  return diff;
 }
 
 }  // namespace smd::kernel

@@ -24,8 +24,9 @@
 // simulation engines): identical output words by bit pattern, identical
 // InterpStats field by field, identical error behavior. KernelBackend
 // selects the backend everywhere a kernel executes
-// (sim::MachineConfig::kernel_backend, the --kernel-backend flag);
-// kLockstep runs both and throws on any divergence.
+// (sim::MachineConfig::kernel_backend, the VM by default); only tests
+// select the interpreter. diff_backends is the kernel-level comparison
+// they share; tests/differential.h compares whole simulations.
 #pragma once
 
 #include <cstdint>
@@ -38,18 +39,13 @@
 
 namespace smd::kernel {
 
-/// Which functional kernel executor runs inside the simulator. All
+/// Which functional kernel executor runs inside the simulator. Both
 /// backends produce bit-identical stream outputs and InterpStats; the VM
 /// is simply faster (bench_native_kernels --selfcheck measures it).
 enum class KernelBackend : std::uint8_t {
-  kInterp,    ///< reference IR-walking interpreter
-  kVm,        ///< compiled threaded-code VM (default)
-  kLockstep,  ///< run both, throw on any divergence (cross-check mode)
+  kInterp,  ///< reference IR-walking interpreter
+  kVm,      ///< compiled threaded-code VM (default)
 };
-
-const char* kernel_backend_name(KernelBackend b);
-/// Parse "interp" | "vm" | "lockstep" (throws std::invalid_argument).
-KernelBackend parse_kernel_backend(const std::string& name);
 
 /// Field-by-field InterpStats comparison: "" when identical, else a
 /// "<field> interp=<a> vm=<b>" description of the first mismatch.
@@ -122,25 +118,27 @@ class CompiledKernel {
   std::int64_t cond_taken_ = 0;
 };
 
-/// Backend-dispatching kernel executor: owns whichever engines the
-/// selected backend needs and reuses their storage across invocations
-/// (the controller keeps one per KernelDef per run). In kLockstep mode
-/// every run executes both backends -- the interpreter against the real
-/// sinks, the VM against scratch sinks -- and throws std::runtime_error
-/// naming the first diverging word or stats field.
+/// Backend-dispatching kernel executor: owns the selected engine and
+/// reuses its storage across invocations (the controller keeps one per
+/// KernelDef per run).
 class KernelExec {
  public:
   KernelExec(const KernelDef& def, int n_clusters, KernelBackend backend);
 
   InterpStats run(const StreamBindings& bindings, std::int64_t rounds);
 
-  KernelBackend backend() const { return backend_; }
-
  private:
-  KernelBackend backend_;
-  std::string name_;
   std::optional<Interpreter> interp_;
   std::optional<CompiledKernel> vm_;
 };
+
+/// The kernel-level differential run: executes `def` once under the
+/// reference interpreter and once under the VM, both reading the inputs of
+/// `bindings` and each writing into its own fresh sinks (one per slot
+/// where `bindings` has a non-null output; those sinks are not touched).
+/// Returns "" when the two agree, else the diff_interp_stats mismatch
+/// and/or the first output word whose bit pattern differs.
+std::string diff_backends(const KernelDef& def, int n_clusters,
+                          const StreamBindings& bindings, std::int64_t rounds);
 
 }  // namespace smd::kernel

@@ -1,6 +1,5 @@
 #include "src/sim/config.h"
 
-#include <stdexcept>
 #include <string>
 
 namespace smd::sim {
@@ -9,23 +8,6 @@ namespace {
 analysis::Location machine_loc() { return {"machine", "config", -1}; }
 
 }  // namespace
-
-const char* engine_name(SimEngine e) {
-  switch (e) {
-    case SimEngine::kStepped: return "stepped";
-    case SimEngine::kEvent: return "event";
-    case SimEngine::kLockstep: return "lockstep";
-  }
-  return "unknown";
-}
-
-SimEngine parse_engine(const std::string& name) {
-  if (name == "stepped") return SimEngine::kStepped;
-  if (name == "event") return SimEngine::kEvent;
-  if (name == "lockstep") return SimEngine::kLockstep;
-  throw std::invalid_argument("unknown engine '" + name +
-                              "' (want stepped|event|lockstep)");
-}
 
 analysis::Diagnostics MachineConfig::validate() const {
   analysis::Diagnostics d;

@@ -16,8 +16,6 @@
 //   Stream cache size                       1 MB
 #pragma once
 
-#include <string>
-
 #include "src/analysis/diag.h"
 #include "src/kernel/schedule.h"
 #include "src/kernel/vm.h"
@@ -40,19 +38,16 @@ enum class SdrPolicy {
 
 /// Which simulation core Controller::run uses. Both engines produce
 /// bit-identical RunStats (cycle counts, every attribution bucket, every
-/// timeline interval) -- the event-driven core is simply faster, advancing
-/// time in jumps between retirement events instead of busy-waiting one
-/// cycle at a time. kLockstep runs both and throws on any field mismatch;
-/// it is the cross-check mode wired into ctest (see DESIGN.md section 10).
+/// timeline interval) and memory images -- the event-driven core is
+/// simply faster, advancing time in jumps between retirement events
+/// instead of busy-waiting one cycle at a time. The stepped engine is the
+/// reference: only tests select it, through tests/differential.h, which
+/// runs a program on both engines and compares the results (DESIGN.md
+/// section 10).
 enum class SimEngine {
-  kStepped,   ///< original cycle-stepped busy-wait loop
-  kEvent,     ///< event-driven ready-list core (default)
-  kLockstep,  ///< run both, assert bit-identical stats, return the result
+  kStepped,  ///< original cycle-stepped busy-wait loop (reference)
+  kEvent,    ///< event-driven ready-list core (default)
 };
-
-const char* engine_name(SimEngine e);
-/// Parse "stepped" | "event" | "lockstep" (throws std::invalid_argument).
-SimEngine parse_engine(const std::string& name);
 
 struct MachineConfig {
   int n_clusters = 16;
@@ -67,9 +62,9 @@ struct MachineConfig {
   int n_stream_descriptor_registers = 8;
   SdrPolicy sdr_policy = SdrPolicy::kTransferScoped;
   SimEngine engine = SimEngine::kEvent;
-  /// Functional kernel executor (interp | vm | lockstep). Both backends
-  /// are bit-identical (DESIGN.md section 17); the VM is faster and is
-  /// the default. kLockstep runs both and throws on any divergence.
+  /// Functional kernel executor. Both backends are bit-identical
+  /// (DESIGN.md section 17); the VM is faster and is the default, the
+  /// interpreter is the reference that tests compare it against.
   kernel::KernelBackend kernel_backend = kernel::KernelBackend::kVm;
 
   /// Scalar-core + microcontroller overhead to launch a kernel and prime

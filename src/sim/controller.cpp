@@ -70,7 +70,7 @@ constexpr std::uint64_t kNoEvent = ~0ULL;
 /// and one MemSystem::tick per cycle); run_event() keeps a ready list
 /// keyed on dependency retirement and advances `now_` in jumps to the
 /// next interesting time. Both must produce bit-identical RunStats --
-/// SimEngine::kLockstep and the lockstep ctest enforce it.
+/// the stepped-vs-event pairs in lockstep_test enforce it.
 class RunContext {
  public:
   RunContext(const MachineConfig& cfg, mem::GlobalMemory* memory,
@@ -732,58 +732,9 @@ RunStats Controller::run(const StreamProgram& program) {
     analysis::require_valid_stream_program(program, check);
   }
 
-  RunStats stats;
-  switch (cfg_.engine) {
-    case SimEngine::kStepped: {
-      RunContext ctx(cfg_, memory_, program);
-      stats = ctx.run_stepped();
-      break;
-    }
-    case SimEngine::kEvent: {
-      RunContext ctx(cfg_, memory_, program);
-      stats = ctx.run_event();
-      break;
-    }
-    case SimEngine::kLockstep: {
-      // Run the stepped reference against a snapshot of memory (counters
-      // diverted to a scratch registry so observability sees one run),
-      // then the event engine against the real image, and require the
-      // results to agree bit for bit.
-      mem::GlobalMemory shadow = *memory_;
-      RunStats stepped;
-      {
-        obs::CounterRegistry scratch;
-        obs::ScopedRegistryRedirect redirect(scratch);
-        RunContext ref(cfg_, &shadow, program);
-        stepped = ref.run_stepped();
-      }
-      RunContext ctx(cfg_, memory_, program);
-      stats = ctx.run_event();
-      std::string diff = diff_run_stats(stepped, stats);
-      if (diff.empty()) {
-        if (shadow.size() != memory_->size()) {
-          diff = "memory size: " + std::to_string(shadow.size()) + " vs " +
-                 std::to_string(memory_->size());
-        } else {
-          for (std::int64_t w = 0; w < shadow.size(); ++w) {
-            const auto addr = static_cast<std::uint64_t>(w);
-            if (shadow.read(addr) != memory_->read(addr)) {
-              diff = "memory word " + std::to_string(w) + ": " +
-                     std::to_string(shadow.read(addr)) + " vs " +
-                     std::to_string(memory_->read(addr));
-              break;
-            }
-          }
-        }
-      }
-      if (!diff.empty()) {
-        throw std::runtime_error(
-            "lockstep divergence (stepped vs event): " + diff);
-      }
-      break;
-    }
-  }
-
+  RunContext ctx(cfg_, memory_, program);
+  RunStats stats = cfg_.engine == SimEngine::kStepped ? ctx.run_stepped()
+                                                      : ctx.run_event();
   record_run_counters(stats, stats.srf_peak_words);
   return stats;
 }

@@ -53,8 +53,8 @@ struct RunStats {
 /// Field-by-field comparison of two runs; empty string when every stat --
 /// cycles, attribution buckets, memory/cache/DRAM/scatter-add counters and
 /// all timeline intervals -- is identical, else a human-readable summary of
-/// the first mismatches. This is the equivalence oracle behind
-/// SimEngine::kLockstep and the lockstep ctest.
+/// the first mismatches. This is the equivalence oracle behind the
+/// engine and kernel-backend differential tests (tests/differential.h).
 std::string diff_run_stats(const RunStats& a, const RunStats& b);
 
 /// Executes a StreamProgram against a memory image, cycle by cycle.

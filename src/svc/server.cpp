@@ -288,8 +288,7 @@ void Server::execute(const std::shared_ptr<InflightJob>& job) {
         }
       }
       if (any_live) {
-        outcome.metrics = tune::evaluate(*problem, job->config, opts_.engine,
-                                         opts_.kernel_backend);
+        outcome.metrics = tune::evaluate(*problem, job->config);
         reg_.add("svc.jobs.simulated");
       } else {
         outcome.error = ErrorCode::kCancelled;

@@ -85,10 +85,6 @@ struct ServerOptions {
   /// ask for (the simulator runs one force step, so molecules x steps
   /// reduces to molecules). Over-budget requests reject structurally.
   int max_molecules = 1 << 20;
-  sim::SimEngine engine = sim::SimEngine::kEvent;
-  /// Functional kernel executor for every job (bit-identical backends;
-  /// DESIGN.md section 17). kLockstep cross-checks each evaluation.
-  kernel::KernelBackend kernel_backend = kernel::KernelBackend::kVm;
   /// Keep every request's span tree in spans() (memory grows with
   /// request count; meant for traced runs, not unbounded serving).
   bool record_spans = false;

@@ -62,11 +62,8 @@ Metrics Metrics::from_json(const obs::Json& j) {
   return m;
 }
 
-Metrics evaluate(const core::Problem& problem, const Candidate& cand,
-                 sim::SimEngine engine, kernel::KernelBackend backend) {
-  sim::MachineConfig cfg = cand.machine();
-  cfg.engine = engine;
-  cfg.kernel_backend = backend;
+Metrics evaluate(const core::Problem& problem, const Candidate& cand) {
+  const sim::MachineConfig cfg = cand.machine();
   {
     analysis::Diagnostics diags = cfg.validate();
     if (diags.errors() > 0) throw analysis::CheckFailure(std::move(diags));
@@ -223,8 +220,7 @@ std::vector<EvalResult> Runner::run(const std::vector<Candidate>& cands) {
         if (k >= todo.size()) break;
         EvalResult& r = out[todo[k]];
         try {
-          r.metrics =
-              evaluate(problem_, r.cand, opts_.engine, opts_.kernel_backend);
+          r.metrics = evaluate(problem_, r.cand);
           obs::CounterRegistry::global().add("tune.evaluated");
         } catch (const std::exception& e) {
           r.error = e.what();

@@ -68,26 +68,13 @@ struct RunnerOptions {
   /// least `slack` times better on *both* run time and memory traffic.
   double prune_slack = 0.0;
   bool verbose = false;
-  /// Simulation core for every candidate run. The engines produce
-  /// bit-identical metrics (DESIGN.md section 10), so this is not a sweep
-  /// axis and is deliberately excluded from config hashes: cached results
-  /// stay valid across engines. kLockstep turns every evaluation into a
-  /// stepped-vs-event cross-check.
-  sim::SimEngine engine = sim::SimEngine::kEvent;
-  /// Functional kernel executor for every candidate run. Like `engine`,
-  /// the backends are bit-identical (DESIGN.md section 17), so this is
-  /// not a sweep axis and is excluded from config hashes.
-  kernel::KernelBackend kernel_backend = kernel::KernelBackend::kVm;
 };
 
 /// Evaluate one candidate synchronously (what pool workers call):
 /// validates the machine config, then either a full simulated variant run
 /// (blocking_cells == 0) or the blocked-implementation profile.
 /// Throws on invalid configurations.
-Metrics evaluate(
-    const core::Problem& problem, const Candidate& cand,
-    sim::SimEngine engine = sim::SimEngine::kEvent,
-    kernel::KernelBackend backend = kernel::KernelBackend::kVm);
+Metrics evaluate(const core::Problem& problem, const Candidate& cand);
 
 /// The cheap analytic estimate of one candidate (the pruning pre-pass).
 core::AnalyticEstimate estimate(const core::Problem& problem,

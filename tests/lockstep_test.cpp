@@ -3,18 +3,16 @@
 // The event-driven core (DESIGN.md section 10) is only allowed to exist
 // because it is bit-identical to the cycle-stepped reference: same cycle
 // counts, same attribution buckets, same timeline intervals, same memory
-// image. This suite enforces that claim from three directions:
-//   * a property test over randomized stream programs (mixed strided /
-//     gather / scatter-add traffic, RAW chains, both SDR policies, varied
-//     SDR counts and SRF pressure),
-//   * SimEngine::kLockstep, which re-runs every program on both engines
-//     and throws on the first diverging field, and
-//   * the real application: all four StreamMD variants under lockstep.
+// image. Every check here is an explicit stepped/event pair run through
+// the shared differential harness (tests/differential.h), over
+//   * randomized stream programs (mixed strided / gather / scatter-add
+//     traffic, RAW chains, both SDR policies, varied SDR counts and SRF
+//     pressure), and
+//   * the real application: all four StreamMD variants.
 #include <gtest/gtest.h>
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "src/core/run.h"
 #include "src/core/streammd.h"
@@ -22,6 +20,7 @@
 #include "src/sim/config.h"
 #include "src/sim/machine.h"
 #include "src/util/rng.h"
+#include "tests/differential.h"
 
 namespace smd::sim {
 namespace {
@@ -89,11 +88,9 @@ MachineConfig random_config(util::Rng& rng, SdrPolicy policy,
   return cfg;
 }
 
-/// One randomized strip-pipelined program; identical construction for both
-/// machines (same rng stream consumed once, program reused).
-StreamProgram random_program(util::Rng& rng, mem::GlobalMemory& mem,
-                             std::vector<std::uint64_t>* out_bases,
-                             std::vector<std::int64_t>* out_lens) {
+/// One randomized strip-pipelined program; the same rng state builds the
+/// same program and allocation sequence on every machine.
+StreamProgram random_program(util::Rng& rng, mem::GlobalMemory& mem) {
   StreamProgram prog;
   const int n_strips = 1 + static_cast<int>(rng.uniform_u64(5));
   StreamId prev_out = -1;
@@ -145,8 +142,6 @@ StreamProgram random_program(util::Rng& rng, mem::GlobalMemory& mem,
       store.kind = mem::MemOpKind::kStoreStrided;
     }
     prog.store(store, s_out);
-    out_bases->push_back(store.base);
-    out_lens->push_back(n);
     prev_out = s_out;
     prev_len = n;
   }
@@ -160,7 +155,6 @@ void fill_memory(mem::GlobalMemory& mem, util::Rng& rng) {
 }
 
 TEST(LockstepProperty, RandomProgramsBitIdenticalAcrossEngines) {
-  int lockstep_runs = 0;
   for (int trial = 0; trial < 100; ++trial) {
     for (const SdrPolicy policy :
          {SdrPolicy::kTransferScoped, SdrPolicy::kConservative}) {
@@ -168,72 +162,26 @@ TEST(LockstepProperty, RandomProgramsBitIdenticalAcrossEngines) {
           0xabcdULL + 977ULL * static_cast<std::uint64_t>(trial) +
           (policy == SdrPolicy::kConservative ? 1 : 0);
 
-      // Two machines with identical configs (bar the engine), identical
-      // allocation sequences and identical initial memory images.
+      // Identical configs bar the engine; identical allocation sequences
+      // and initial memory images.
       util::Rng cfg_rng(seed);
       const MachineConfig stepped_cfg =
           random_config(cfg_rng, policy, SimEngine::kStepped);
       MachineConfig event_cfg = stepped_cfg;
       event_cfg.engine = SimEngine::kEvent;
-
-      Machine stepped(stepped_cfg);
-      Machine event(event_cfg);
-      std::vector<std::uint64_t> bases;
-      std::vector<std::int64_t> lens;
-      util::Rng prog_rng(seed ^ 0x9e3779b97f4a7c15ULL);
-      const StreamProgram prog =
-          random_program(prog_rng, stepped.memory(), &bases, &lens);
-      {
-        std::vector<std::uint64_t> b2;
-        std::vector<std::int64_t> l2;
-        util::Rng prog_rng2(seed ^ 0x9e3779b97f4a7c15ULL);
-        (void)random_program(prog_rng2, event.memory(), &b2, &l2);
-      }
-      util::Rng fill_rng(seed + 1);
-      fill_memory(stepped.memory(), fill_rng);
-      fill_rng.reseed(seed + 1);
-      fill_memory(event.memory(), fill_rng);
-
-      const RunStats a = stepped.run(prog);
-      const RunStats b = event.run(prog);
-      ASSERT_EQ(diff_run_stats(a, b), "")
+      const auto build = [seed](Machine& m) {
+        util::Rng prog_rng(seed ^ 0x9e3779b97f4a7c15ULL);
+        StreamProgram prog = random_program(prog_rng, m.memory());
+        util::Rng fill_rng(seed + 1);
+        fill_memory(m.memory(), fill_rng);
+        return prog;
+      };
+      ASSERT_EQ(differential::diff_runs(stepped_cfg, event_cfg, build), "")
           << "trial " << trial << " policy "
           << (policy == SdrPolicy::kConservative ? "conservative"
                                                  : "transfer-scoped");
-      ASSERT_EQ(stepped.memory().size(), event.memory().size());
-      for (std::int64_t w = 0; w < stepped.memory().size(); ++w) {
-        const auto addr = static_cast<std::uint64_t>(w);
-        ASSERT_EQ(stepped.memory().read(addr), event.memory().read(addr))
-            << "trial " << trial << " word " << w;
-      }
-
-      // Every few trials exercise the built-in cross-check mode too: it
-      // throws on any divergence.
-      if (trial % 10 == 0) {
-        MachineConfig lock_cfg = stepped_cfg;
-        lock_cfg.engine = SimEngine::kLockstep;
-        Machine lockstep(lock_cfg);
-        std::vector<std::uint64_t> b3;
-        std::vector<std::int64_t> l3;
-        util::Rng prog_rng3(seed ^ 0x9e3779b97f4a7c15ULL);
-        (void)random_program(prog_rng3, lockstep.memory(), &b3, &l3);
-        fill_rng.reseed(seed + 1);
-        fill_memory(lockstep.memory(), fill_rng);
-        const RunStats c = lockstep.run(prog);
-        EXPECT_EQ(diff_run_stats(b, c), "") << "lockstep result drifted";
-        ++lockstep_runs;
-      }
     }
   }
-  EXPECT_GE(lockstep_runs, 20);
-}
-
-TEST(LockstepProperty, EngineRoundTripNames) {
-  for (const SimEngine e :
-       {SimEngine::kStepped, SimEngine::kEvent, SimEngine::kLockstep}) {
-    EXPECT_EQ(parse_engine(engine_name(e)), e);
-  }
-  EXPECT_THROW(parse_engine("warp-speed"), std::invalid_argument);
 }
 
 TEST(Lockstep, DiffReportsFirstMismatchedField) {
@@ -247,21 +195,21 @@ TEST(Lockstep, DiffReportsFirstMismatchedField) {
   EXPECT_EQ(diff_run_stats(a, a), "");
 }
 
-// The real application: one small time-step per variant, both engines in
-// lockstep. This is the ctest wired into scripts/check.sh.
+// The real application: one small time-step per variant on both engines.
+// This is the ctest wired into scripts/check.sh.
 TEST(Lockstep, StreamMdVariantsRunBitIdentical) {
   core::ExperimentSetup setup;
   setup.n_molecules = 64;
   const core::Problem problem = core::Problem::make(setup);
+  MachineConfig stepped = MachineConfig::merrimac();
+  stepped.engine = SimEngine::kStepped;
+  MachineConfig event = stepped;
+  event.engine = SimEngine::kEvent;
   for (const core::Variant v :
        {core::Variant::kExpanded, core::Variant::kFixed,
         core::Variant::kVariable, core::Variant::kDuplicated}) {
-    MachineConfig cfg = MachineConfig::merrimac();
-    cfg.engine = SimEngine::kLockstep;
-    // kLockstep throws on the first diverging stat; completing the run IS
-    // the assertion.
-    const core::VariantResult r = core::run_variant(problem, v, cfg);
-    EXPECT_GT(r.run.cycles, 0u) << core::variant_name(v);
+    EXPECT_EQ(differential::diff_variant(problem, v, stepped, event), "")
+        << core::variant_name(v);
   }
 }
 

@@ -6,15 +6,13 @@
 // This suite enforces that claim at three levels:
 //
 //   * functional -- every built-in kernel runs on randomized inputs under
-//     both backends; every output word must match by bit pattern and
-//     every InterpStats field must match exactly, and KernelBackend::
-//     kLockstep (which re-runs both internally) must complete without
-//     throwing.
+//     both backends (kernel::diff_backends); every output word must match
+//     by bit pattern and every InterpStats field must match exactly.
 //   * full simulation -- every Table-3 variant runs a complete
-//     strip-mined water-box time-step under kernel_backend = kLockstep
-//     AND as an explicit interp-vs-vm pair, under BOTH SDR policies; the
-//     paired runs must agree on the entire RunStats field-by-field and on
-//     the final memory image word-for-word.
+//     strip-mined water-box time-step as an explicit interp-vs-vm pair
+//     (tests/differential.h), under BOTH SDR policies; the paired runs
+//     must agree on the entire RunStats field-by-field and on the final
+//     memory image word-for-word.
 //   * randomized programs -- 60 generated kernels exercising conditional
 //     reads/writes, broadcast reads, multi-word records, all four
 //     sections and the full arithmetic op mix, swept through the same
@@ -25,7 +23,6 @@
 // the comparison.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cstdint>
 #include <set>
 #include <string>
@@ -33,26 +30,22 @@
 #include <vector>
 
 #include "src/core/kernels.h"
-#include "src/core/program.h"
 #include "src/core/run.h"
 #include "src/core/streammd.h"
 #include "src/kernel/interp.h"
 #include "src/kernel/vm.h"
 #include "src/sim/config.h"
-#include "src/sim/machine.h"
 #include "src/util/rng.h"
+#include "tests/differential.h"
 
 namespace smd {
 namespace {
 
-std::uint64_t bits_of(double v) { return std::bit_cast<std::uint64_t>(v); }
-
 constexpr int kClusters = 4;
 constexpr std::int64_t kRounds = 3;
 
-/// Run `def` on deterministic randomized inputs under the interpreter,
-/// the VM, and lockstep; outputs must match by bit pattern, stats
-/// field-by-field, and lockstep must not throw.
+/// Run `def` on deterministic randomized inputs under the interpreter
+/// and the VM; outputs must match by bit pattern, stats field-by-field.
 void expect_vm_bit_identical(const kernel::KernelDef& def,
                              std::uint64_t seed) {
   util::Rng rng(seed);
@@ -60,50 +53,22 @@ void expect_vm_bit_identical(const kernel::KernelDef& def,
   // conditional access on every iteration.
   const std::int64_t accesses = kRounds * (def.block_len + 2) * kClusters;
   std::vector<std::vector<double>> store(def.streams.size());
+  kernel::StreamBindings bindings;
   for (std::size_t s = 0; s < def.streams.size(); ++s) {
-    if (def.streams[s].dir != kernel::StreamDir::kIn) continue;
-    store[s].resize(
-        static_cast<std::size_t>(accesses * def.streams[s].record_words));
-    for (double& d : store[s]) d = rng.uniform(-2.0, 2.0);
-  }
-  auto make_bindings = [&](std::vector<std::vector<double>>& outs) {
-    kernel::StreamBindings b;
-    for (std::size_t s = 0; s < def.streams.size(); ++s) {
-      if (def.streams[s].dir == kernel::StreamDir::kIn) {
-        b.inputs.emplace_back(store[s]);
-        b.outputs.push_back(nullptr);
-      } else {
-        b.inputs.emplace_back();
-        b.outputs.push_back(&outs[s]);
-      }
-    }
-    return b;
-  };
-
-  std::vector<std::vector<double>> oi(def.streams.size());
-  std::vector<std::vector<double>> ov(def.streams.size());
-  kernel::Interpreter interp(def, kClusters);
-  kernel::CompiledKernel vm(def, kClusters);
-  const kernel::StreamBindings bi = make_bindings(oi);
-  const kernel::StreamBindings bv = make_bindings(ov);
-  const kernel::InterpStats si = interp.run(bi, kRounds);
-  const kernel::InterpStats sv = vm.run(bv, kRounds);
-  EXPECT_EQ(kernel::diff_interp_stats(si, sv), "") << def.name;
-  for (std::size_t s = 0; s < def.streams.size(); ++s) {
-    if (def.streams[s].dir == kernel::StreamDir::kIn) continue;
-    ASSERT_EQ(oi[s].size(), ov[s].size())
-        << def.name << " stream " << def.streams[s].name;
-    for (std::size_t w = 0; w < oi[s].size(); ++w) {
-      ASSERT_EQ(bits_of(oi[s][w]), bits_of(ov[s][w]))
-          << def.name << " stream " << def.streams[s].name << " word " << w;
+    if (def.streams[s].dir == kernel::StreamDir::kIn) {
+      store[s].resize(
+          static_cast<std::size_t>(accesses * def.streams[s].record_words));
+      for (double& d : store[s]) d = rng.uniform(-2.0, 2.0);
+      bindings.inputs.emplace_back(store[s]);
+      bindings.outputs.push_back(nullptr);
+    } else {
+      // Marks an output slot; diff_backends gives each backend its own.
+      bindings.inputs.emplace_back();
+      bindings.outputs.push_back(&store[s]);
     }
   }
-
-  // The wrapper's own cross-check mode must agree with itself.
-  std::vector<std::vector<double>> ol(def.streams.size());
-  kernel::KernelExec lock(def, kClusters, kernel::KernelBackend::kLockstep);
-  const kernel::StreamBindings bl = make_bindings(ol);
-  EXPECT_NO_THROW((void)lock.run(bl, kRounds)) << def.name;
+  EXPECT_EQ(kernel::diff_backends(def, kClusters, bindings, kRounds), "")
+      << def.name;
 }
 
 TEST(VmEquivalence, BuiltinKernelsBitIdentical) {
@@ -113,44 +78,10 @@ TEST(VmEquivalence, BuiltinKernelsBitIdentical) {
   }
 }
 
-/// One full strip-mined simulation of `v`'s layout; the kernel backend is
-/// whatever `cfg.kernel_backend` selects.
-struct SimOut {
-  sim::RunStats run;
-  std::vector<double> mem;
-};
-
-SimOut simulate(const core::Problem& problem, core::Variant v,
-                const sim::MachineConfig& cfg) {
-  const kernel::KernelDef kdef =
-      core::build_water_kernel(v, problem.system.model(),
-                               problem.setup.fixed_list_length);
-  core::LayoutOptions lopts;
-  lopts.n_clusters = cfg.n_clusters;
-  lopts.fixed_list_length = problem.setup.fixed_list_length;
-  lopts.strip_rounds = problem.setup.strip_rounds;
-  lopts.srf_words = cfg.srf_words;
-  const core::VariantLayout layout =
-      core::build_layout(v, problem.system, problem.half_list, lopts);
-  sim::Machine machine(cfg);
-  const core::ProblemImage image =
-      core::upload_system(machine.memory(), problem.system);
-  const sim::StreamProgram program =
-      core::build_program(machine.memory(), image, layout, kdef);
-  SimOut out;
-  out.run = machine.run(program);
-  out.mem.resize(static_cast<std::size_t>(machine.memory().size()));
-  for (std::int64_t w = 0; w < machine.memory().size(); ++w) {
-    out.mem[static_cast<std::size_t>(w)] =
-        machine.memory().read(static_cast<std::uint64_t>(w));
-  }
-  return out;
-}
-
 // The tentpole gate: Table-3 variants, both SDR policies, full simulation.
-// kLockstep cross-checks inside every kernel launch; the explicit
-// interp-vs-vm pair must produce identical RunStats and memory images.
-TEST(VmEquivalence, LockstepSweepTableThreeVariantsBothPolicies) {
+// The explicit interp-vs-vm pair must produce identical RunStats and
+// memory images.
+TEST(VmEquivalence, TableThreeVariantsBothPoliciesBitIdentical) {
   core::ExperimentSetup setup;
   setup.n_molecules = 48;
   const core::Problem problem = core::Problem::make(setup);
@@ -160,29 +91,15 @@ TEST(VmEquivalence, LockstepSweepTableThreeVariantsBothPolicies) {
         core::Variant::kVariable, core::Variant::kDuplicated}) {
     for (const sim::SdrPolicy policy :
          {sim::SdrPolicy::kConservative, sim::SdrPolicy::kTransferScoped}) {
-      sim::MachineConfig cfg = sim::MachineConfig::merrimac();
-      cfg.sdr_policy = policy;
-      const std::string what =
-          std::string(core::variant_name(v)) +
-          (policy == sim::SdrPolicy::kConservative ? " [conservative]"
-                                                   : " [transfer-scoped]");
-
-      // Every kernel launch runs both backends and throws on divergence.
-      cfg.kernel_backend = kernel::KernelBackend::kLockstep;
-      const SimOut locked = simulate(problem, v, cfg);
-
-      cfg.kernel_backend = kernel::KernelBackend::kInterp;
-      const SimOut ri = simulate(problem, v, cfg);
-      cfg.kernel_backend = kernel::KernelBackend::kVm;
-      const SimOut rv = simulate(problem, v, cfg);
-
-      EXPECT_EQ(sim::diff_run_stats(ri.run, rv.run), "") << what;
-      EXPECT_EQ(sim::diff_run_stats(ri.run, locked.run), "") << what;
-      ASSERT_EQ(ri.mem.size(), rv.mem.size()) << what;
-      for (std::size_t w = 0; w < ri.mem.size(); ++w) {
-        ASSERT_EQ(bits_of(ri.mem[w]), bits_of(rv.mem[w]))
-            << what << " memory word " << w;
-      }
+      sim::MachineConfig interp = sim::MachineConfig::merrimac();
+      interp.sdr_policy = policy;
+      interp.kernel_backend = kernel::KernelBackend::kInterp;
+      sim::MachineConfig vm = interp;
+      vm.kernel_backend = kernel::KernelBackend::kVm;
+      EXPECT_EQ(differential::diff_variant(problem, v, interp, vm), "")
+          << core::variant_name(v)
+          << (policy == sim::SdrPolicy::kConservative ? " [conservative]"
+                                                      : " [transfer-scoped]");
     }
   }
 }
