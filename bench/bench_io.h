@@ -6,12 +6,14 @@
 #pragma once
 
 #include <cmath>
+#include <cstdint>
 #include <cstdio>
 #include <cstdlib>
 #include <initializer_list>
 #include <limits>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -29,6 +31,14 @@ inline std::string flag_value(int argc, char** argv, const std::string& name) {
   return "";
 }
 
+/// True when the exact token `flag` (e.g. "--verbose") appears in argv.
+inline bool has_flag(int argc, char** argv, const char* flag) {
+  for (int i = 1; i < argc; ++i) {
+    if (std::string_view(argv[i]) == flag) return true;
+  }
+  return false;
+}
+
 /// Uniform CLI argument-error exit shared by the smd* drivers: one
 /// `tool: message` line plus a one-line usage hint, exit status 2 (the
 /// same status a missing mode already produces).
@@ -42,14 +52,19 @@ inline std::string flag_value(int argc, char** argv, const std::string& name) {
 /// known value-taking flag (its value, the next argv entry, is skipped --
 /// and must exist) or a known boolean flag; anything else exits 2 with
 /// the usage hint. Tokens not starting with "--" are positionals (e.g.
-/// the second baseline of `smdprof --diff A B`) and are left to the tool.
-inline void check_flags(int argc, char** argv, const char* tool,
-                        const char* usage,
-                        std::initializer_list<const char*> value_flags,
-                        std::initializer_list<const char*> bool_flags) {
+/// the second baseline of `smdprof --diff A B`); they are returned, in
+/// order, for the tool to use or reject.
+inline std::vector<std::string> check_flags(
+    int argc, char** argv, const char* tool, const char* usage,
+    std::initializer_list<const char*> value_flags,
+    std::initializer_list<const char*> bool_flags) {
+  std::vector<std::string> positionals;
   for (int i = 1; i < argc; ++i) {
     const std::string arg = argv[i];
-    if (arg.rfind("--", 0) != 0) continue;
+    if (arg.rfind("--", 0) != 0) {
+      positionals.push_back(arg);
+      continue;
+    }
     bool known = false;
     for (const char* f : bool_flags) {
       if (arg == f) {
@@ -71,39 +86,64 @@ inline void check_flags(int argc, char** argv, const char* tool,
     }
     if (!known) usage_error(tool, "unknown flag '" + arg + "'", usage);
   }
+  return positionals;
 }
 
-/// `--<name> <int>` with a fallback; a malformed or trailing-garbage
-/// value exits 2 through usage_error instead of throwing out of main.
+/// `--<name> <value>` with a fallback, parsed by `parse(text, &pos)`; a
+/// value that fails to parse, has trailing garbage or is rejected by
+/// `parse` (which throws) exits 2 through usage_error instead of throwing
+/// out of main.
+template <class T, class Parse>
+T flag_or_exit(int argc, char** argv, const char* tool,
+               const std::string& name, T fallback, const char* usage,
+               const char* kind, Parse parse) {
+  const std::string v = flag_value(argc, argv, name);
+  if (v.empty()) return fallback;
+  try {
+    std::size_t pos = 0;
+    const T parsed = parse(v, &pos);
+    if (pos == v.size()) return parsed;
+  } catch (const std::exception&) {
+  }
+  usage_error(tool, "--" + name + ": bad " + kind + " '" + v + "'", usage);
+}
+
+/// `--<name> <int>`; out-of-range values are malformed ones.
 inline int int_flag_or_exit(int argc, char** argv, const char* tool,
                             const std::string& name, int fallback,
                             const char* usage) {
-  const std::string v = flag_value(argc, argv, name);
-  if (v.empty()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const int parsed = std::stoi(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument("trailing garbage");
-    return parsed;
-  } catch (const std::exception&) {
-    usage_error(tool, "--" + name + ": bad integer '" + v + "'", usage);
-  }
+  return flag_or_exit(argc, argv, tool, name, fallback, usage, "integer",
+                      [](const std::string& v, std::size_t* pos) {
+                        return std::stoi(v, pos);
+                      });
 }
 
-/// `--<name> <double>` with a fallback; malformed values exit 2.
+/// `--<name> <uint64>` (dataset seeds); a negative value is rejected, not
+/// wrapped.
+inline std::uint64_t u64_flag_or_exit(int argc, char** argv, const char* tool,
+                                      const std::string& name,
+                                      std::uint64_t fallback,
+                                      const char* usage) {
+  return flag_or_exit(argc, argv, tool, name, fallback, usage, "integer",
+                      [](const std::string& v, std::size_t* pos) {
+                        if (v.find('-') != std::string::npos) {
+                          throw std::invalid_argument(v);
+                        }
+                        return std::uint64_t{std::stoull(v, pos)};
+                      });
+}
+
+/// `--<name> <double>`; non-finite values (`nan`, `inf`) are rejected like
+/// malformed ones.
 inline double double_flag_or_exit(int argc, char** argv, const char* tool,
                                   const std::string& name, double fallback,
                                   const char* usage) {
-  const std::string v = flag_value(argc, argv, name);
-  if (v.empty()) return fallback;
-  try {
-    std::size_t pos = 0;
-    const double parsed = std::stod(v, &pos);
-    if (pos != v.size()) throw std::invalid_argument("trailing garbage");
-    return parsed;
-  } catch (const std::exception&) {
-    usage_error(tool, "--" + name + ": bad number '" + v + "'", usage);
-  }
+  return flag_or_exit(argc, argv, tool, name, fallback, usage, "number",
+                      [](const std::string& v, std::size_t* pos) {
+                        const double d = std::stod(v, pos);
+                        if (!std::isfinite(d)) throw std::invalid_argument(v);
+                        return d;
+                      });
 }
 
 /// Longest list a value-list flag may expand to, so a range such as

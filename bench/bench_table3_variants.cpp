@@ -25,9 +25,7 @@ int main(int argc, char** argv) {
   std::printf("== Table 3: variants of StreamMD ==\n%s\n",
               smd::core::format_variants_table().c_str());
   smd::obs::Json variants = smd::obs::Json::array();
-  for (smd::core::Variant v :
-       {smd::core::Variant::kExpanded, smd::core::Variant::kFixed,
-        smd::core::Variant::kVariable, smd::core::Variant::kDuplicated}) {
+  for (const smd::core::Variant v : smd::core::kAllVariants) {
     smd::obs::Json row = smd::obs::Json::object();
     row.set("name", smd::core::variant_name(v));
     row.set("description", smd::core::variant_description(v));

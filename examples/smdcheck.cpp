@@ -20,7 +20,6 @@
 // or the bound is exceeded.
 #include <cmath>
 #include <cstdio>
-#include <cstring>
 #include <string>
 
 #include "bench/bench_io.h"
@@ -126,11 +125,8 @@ int main(int argc, char** argv) {
       benchio::int_flag_or_exit(argc, argv, "smdcheck", "n-molecules", 64,
                                 kUsage);
   Report report;
-  bool dataflow_mode = false;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--verbose") == 0) report.verbose = true;
-    if (std::strcmp(argv[i], "--dataflow") == 0) dataflow_mode = true;
-  }
+  report.verbose = benchio::has_flag(argc, argv, "--verbose");
+  const bool dataflow_mode = benchio::has_flag(argc, argv, "--dataflow");
 
   const sim::MachineConfig cfg = sim::MachineConfig::merrimac();
 
@@ -153,9 +149,7 @@ int main(int argc, char** argv) {
   core::ExperimentSetup setup;
   setup.n_molecules = n_molecules;
   const core::Problem problem = core::Problem::make(setup);
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
+  for (const core::Variant v : core::kAllVariants) {
     core::LayoutOptions lopts;
     lopts.n_clusters = cfg.n_clusters;
     lopts.fixed_list_length = setup.fixed_list_length;

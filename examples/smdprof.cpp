@@ -36,7 +36,6 @@
 // tolerance. BENCH_baseline.json at the repo root is the committed
 // baseline that scripts/check.sh gates on.
 #include <cstdio>
-#include <cstring>
 #include <string>
 #include <vector>
 
@@ -53,13 +52,6 @@
 using namespace smd;
 
 namespace {
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 struct Experiment {
   core::ExperimentSetup setup;
@@ -307,26 +299,22 @@ int main(int argc, char** argv) {
       "smdprof --explain | --roofline | --scaling | --record-baseline path | "
       "--check-baseline path | --diff baseA baseB  [--molecules N] "
       "[--nodes a,b,c] [--json path] [--trace path]";
-  benchio::check_flags(argc, argv, "smdprof", kUsage,
-                       {"--molecules", "--nodes", "--json", "--trace",
-                        "--record-baseline", "--check-baseline", "--diff"},
-                       {"--explain", "--roofline", "--scaling"});
+  const std::vector<std::string> positionals = benchio::check_flags(
+      argc, argv, "smdprof", kUsage,
+      {"--molecules", "--nodes", "--json", "--trace", "--record-baseline",
+       "--check-baseline", "--diff"},
+      {"--explain", "--roofline", "--scaling"});
   try {
     benchio::JsonOut json(argc, argv, "smdprof");
 
     const std::string diff = benchio::flag_value(argc, argv, "diff");
     if (!diff.empty()) {
-      // --diff A B: A is the flag value, B the argument after it.
-      std::string other;
-      for (int i = 1; i + 2 < argc; ++i) {
-        if (std::strcmp(argv[i], "--diff") == 0) other = argv[i + 2];
-      }
-      if (other.empty()) {
-        std::fprintf(stderr, "usage: smdprof --diff baseA baseB\n");
-        return 2;
+      // --diff A B: A is the flag value, B the positional after it.
+      if (positionals.empty()) {
+        benchio::usage_error("smdprof", "--diff needs two baselines", kUsage);
       }
       const prof::Baseline a = prof::Baseline::load(diff);
-      const prof::Baseline b = prof::Baseline::load(other);
+      const prof::Baseline b = prof::Baseline::load(positionals[0]);
       const prof::CompareReport rep = prof::compare(a, b);
       std::fputs(prof::format_compare(rep).c_str(), stdout);
       return rep.ok() ? 0 : 1;
@@ -338,16 +326,11 @@ int main(int argc, char** argv) {
     const std::string record =
         benchio::flag_value(argc, argv, "record-baseline");
     const std::string check = benchio::flag_value(argc, argv, "check-baseline");
-    const bool explain = has_flag(argc, argv, "--explain");
-    const bool roofline = has_flag(argc, argv, "--roofline");
-    const bool scaling = has_flag(argc, argv, "--scaling");
+    const bool explain = benchio::has_flag(argc, argv, "--explain");
+    const bool roofline = benchio::has_flag(argc, argv, "--roofline");
+    const bool scaling = benchio::has_flag(argc, argv, "--scaling");
     if (!explain && !roofline && !scaling && record.empty() && check.empty()) {
-      std::fprintf(stderr,
-                   "usage: smdprof --explain | --roofline | --scaling | "
-                   "--record-baseline path | --check-baseline path | "
-                   "--diff baseA baseB  [--molecules N] [--nodes a,b,c] "
-                   "[--json path] [--trace path]\n");
-      return 2;
+      benchio::usage_error("smdprof", "pick a mode", kUsage);
     }
 
     // Parse --nodes up front: a malformed list must fail with the usual

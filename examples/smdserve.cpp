@@ -40,7 +40,6 @@
 //      zero additional simulations (in-memory memo / persistent cache).
 // Exit status is non-zero on any payload mismatch or counter violation.
 #include <cstdio>
-#include <cstring>
 #include <iostream>
 #include <map>
 #include <sstream>
@@ -60,13 +59,6 @@
 using namespace smd;
 
 namespace {
-
-bool has_flag(int argc, char** argv, const char* flag) {
-  for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], flag) == 0) return true;
-  }
-  return false;
-}
 
 void print_response_row(const svc::Response& r) {
   std::printf("%-10s %-18s %-6s %016llx %9.3f ms  %s\n", r.id.c_str(),
@@ -320,9 +312,7 @@ int run_demo(int n_molecules, svc::ServerOptions opts, Telemetry& tele,
   // The four paper variants, each submitted kDup times.
   constexpr int kDup = 3;
   std::vector<tune::Candidate> configs;
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
+  for (const core::Variant v : core::kAllVariants) {
     tune::Candidate c;
     c.variant = v;
     configs.push_back(c);
@@ -477,7 +467,7 @@ int main(int argc, char** argv) {
     if (!requests.empty()) {
       return run_requests(requests, opts, tele, jout);
     }
-    if (has_flag(argc, argv, "--demo")) {
+    if (benchio::has_flag(argc, argv, "--demo")) {
       const int n_molecules = benchio::int_flag_or_exit(
           argc, argv, "smdserve", "molecules", 64, kUsage);
       return run_demo(n_molecules, opts, tele, jout);

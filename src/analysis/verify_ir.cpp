@@ -135,8 +135,8 @@ class Verifier {
     }
     dataflow();
     stream_usage();
-    pressure();
     semantic();
+    pressure_note();
     return std::move(out_);
   }
 
@@ -358,21 +358,18 @@ class Verifier {
     }
   }
 
-  void pressure() {
-    const int peak = kernel_lrf_pressure(def_);
-    if (peak > opts_.lrf_words) {
-      out_.warn("IR015", {def_.name, "", -1},
-                "peak LRF pressure " + std::to_string(peak) +
-                    " words exceeds the per-cluster capacity of " +
-                    std::to_string(opts_.lrf_words));
+  /// IR016: the per-kernel LRF pressure report. The exact peak is known
+  /// only when the dataflow pass ran (semantic()).
+  void pressure_note() {
+    if (!opts_.report_pressure) return;
+    std::string msg = "LRF pressure: ";
+    if (exact_pressure_ >= 0) {
+      msg += "peak " + std::to_string(exact_pressure_) +
+             " simultaneously-live registers (exact liveness), ";
     }
-    if (opts_.report_pressure) {
-      out_.note("IR016", {def_.name, "", -1},
-                "LRF pressure: peak " + std::to_string(peak) +
-                    " simultaneously-live registers, " +
-                    std::to_string(def_.n_regs) + " allocated, capacity " +
-                    std::to_string(opts_.lrf_words) + " words");
-    }
+    out_.note("IR016", {def_.name, "", -1},
+              msg + std::to_string(def_.n_regs) + " allocated, capacity " +
+                  std::to_string(opts_.lrf_words) + " words");
   }
 
   /// Dataflow-backed precision checks IR017-IR024 (see dataflow.h). Only
@@ -516,10 +513,11 @@ class Verifier {
       }
     }
 
-    const int exact = dfa.max_live_pressure();
-    if (exact > opts_.lrf_words) {
+    exact_pressure_ = dfa.max_live_pressure();
+    if (exact_pressure_ > opts_.lrf_words) {
       out_.warn("IR022", {def_.name, "", -1},
-                "exact peak LRF live-pressure " + std::to_string(exact) +
+                "exact peak LRF live-pressure " +
+                    std::to_string(exact_pressure_) +
                     " registers exceeds the per-cluster capacity of " +
                     std::to_string(opts_.lrf_words) + " words");
     }
@@ -528,78 +526,11 @@ class Verifier {
   const KernelDef& def_;
   const VerifyOptions& opts_;
   std::map<kernel::Section, std::vector<char>> valid_;
+  int exact_pressure_ = -1;  ///< set by semantic(); -1 when it did not run
   Diagnostics out_;
 };
 
 }  // namespace
-
-int kernel_lrf_pressure(const kernel::KernelDef& def) {
-  if (def.n_regs <= 0) return 0;
-  const auto n = static_cast<std::size_t>(def.n_regs);
-  constexpr int kNone = -1;
-  std::vector<int> first(n, kNone), last(n, kNone);
-  std::vector<bool> in_body(n, false), elsewhere(n, false);
-  std::vector<bool> carried(n, false);  // body use at/before first body def
-  std::vector<int> first_body_def(n, kNone);
-
-  int pos = 0;
-  int body_begin = 0, body_end = 0;
-  for (const auto sec : {kernel::Section::kPrologue, kernel::Section::kOuterPre,
-                         kernel::Section::kBody, kernel::Section::kOuterPost}) {
-    const std::vector<kernel::Instr>* instrs = nullptr;
-    switch (sec) {
-      case kernel::Section::kPrologue: instrs = &def.prologue; break;
-      case kernel::Section::kOuterPre: instrs = &def.outer_pre; break;
-      case kernel::Section::kBody: instrs = &def.body; break;
-      case kernel::Section::kOuterPost: instrs = &def.outer_post; break;
-    }
-    if (sec == kernel::Section::kBody) body_begin = pos;
-    for (const auto& in : *instrs) {
-      const bool body = sec == kernel::Section::kBody;
-      auto touch = [&](int r, bool is_def) {
-        if (r < 0 || r >= def.n_regs) return;
-        const auto ri = static_cast<std::size_t>(r);
-        if (first[ri] == kNone) first[ri] = pos;
-        last[ri] = pos;
-        (body ? in_body : elsewhere)[ri] = true;
-        if (body && is_def && first_body_def[ri] == kNone) {
-          first_body_def[ri] = pos;
-        }
-        if (body && !is_def && first_body_def[ri] == kNone) {
-          carried[ri] = true;  // read in the body before any body def
-        }
-      };
-      const InstrUses u = instr_uses(in);
-      for (int r : u.srcs) touch(r, false);
-      for (int r : u.merge_srcs) touch(r, false);
-      if (u.pred >= 0) touch(u.pred, false);
-      for (int r : instr_defs(in)) touch(r, true);
-      ++pos;
-    }
-    if (sec == kernel::Section::kBody) body_end = pos;
-  }
-  if (pos == 0) return 0;
-
-  // Loop-carried or cross-section registers stay live across the body.
-  std::vector<int> delta(static_cast<std::size_t>(pos) + 1, 0);
-  for (std::size_t r = 0; r < n; ++r) {
-    if (first[r] == kNone) continue;
-    int lo = first[r], hi = last[r];
-    const bool spans = in_body[r] && (carried[r] || elsewhere[r]);
-    if (spans && body_end > body_begin) {
-      lo = std::min(lo, body_begin);
-      hi = std::max(hi, body_end - 1);
-    }
-    ++delta[static_cast<std::size_t>(lo)];
-    --delta[static_cast<std::size_t>(hi) + 1];
-  }
-  int live = 0, peak = 0;
-  for (int p = 0; p < pos; ++p) {
-    live += delta[static_cast<std::size_t>(p)];
-    peak = std::max(peak, live);
-  }
-  return peak;
-}
 
 Diagnostics verify_kernel(const kernel::KernelDef& def,
                           const VerifyOptions& opts) {

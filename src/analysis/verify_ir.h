@@ -26,8 +26,11 @@
 //                   constants are preloaded through the microcode store)
 //   IR013 (warning) unused stream declaration
 //   IR014 (error)   block_len < 1
-//   IR015 (warning) peak LRF pressure exceeds the per-cluster LRF capacity
-//   IR016 (note)    per-kernel LRF pressure report (always emitted)
+//   IR015           retired (an interval estimate of the pressure IR022
+//                   now checks exactly); the number is not reused
+//   IR016 (note)    per-kernel LRF pressure report: registers allocated,
+//                   capacity and, when the dataflow pass runs, the exact
+//                   peak live pressure
 //
 // Semantic checks backed by the worklist dataflow engine (dataflow.h);
 // gated by VerifyOptions::dataflow and skipped when earlier passes report
@@ -47,8 +50,7 @@
 //                   used (removable only together with its whole stream:
 //                   dropping a single read desyncs the SRF cursor)
 //   IR022 (warning) exact peak LRF live-pressure exceeds the per-cluster
-//                   LRF capacity (liveness-precise companion of the
-//                   interval-based IR015)
+//                   LRF capacity
 //   IR023 (warning) self-overwriting conditional read: the predicate
 //                   register lies inside the read's own destination range
 //   IR024 (warning) conditional stream access whose predicate is provably
@@ -72,11 +74,6 @@ struct VerifyOptions {
   /// path never hides an error).
   bool dataflow = true;
 };
-
-/// Peak register pressure of a kernel: the maximum number of
-/// simultaneously-live registers over the linearized section order, with
-/// loop-carried registers held live across the whole body.
-int kernel_lrf_pressure(const kernel::KernelDef& def);
 
 /// Run all IR checks; never throws.
 Diagnostics verify_kernel(const kernel::KernelDef& def,

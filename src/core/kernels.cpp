@@ -552,8 +552,7 @@ MultisiteProfile profile_multisite_kernel(const md::WaterModel& model,
 std::vector<kernel::KernelDef> builtin_kernels(int blocked_block_len) {
   const md::WaterModel& model = md::spc();
   std::vector<kernel::KernelDef> defs;
-  for (const Variant v : {Variant::kExpanded, Variant::kFixed,
-                          Variant::kVariable, Variant::kDuplicated}) {
+  for (const Variant v : kAllVariants) {
     defs.push_back(build_water_kernel(v, model));
   }
   defs.push_back(build_expanded_energy_kernel(model));

@@ -69,13 +69,28 @@ std::string format_dataset_table(const Problem& problem,
 
 std::string format_variants_table() {
   Table t({"Name", "Description"});
-  for (Variant v : {Variant::kExpanded, Variant::kFixed, Variant::kVariable,
-                    Variant::kDuplicated}) {
+  for (const Variant v : kAllVariants) {
     t.add_row({variant_name(v), variant_description(v)});
   }
   t.add_row({"Pentium 4",
              "fully hand-optimized GROMACS on a Pentium 4 with "
              "single-precision SSE (water-water only)"});
+  return t.render();
+}
+
+std::string format_work_shape(const std::vector<VariantResult>& results) {
+  Table t({"Variant", "central blocks", "neighbor slots",
+           "computed interactions", "% useful"});
+  for (const auto& r : results) {
+    // `duplicated` computes every pair once per direction; both are useful.
+    const double useful = static_cast<double>(r.n_real_interactions) *
+                          (r.variant == Variant::kDuplicated ? 2.0 : 1.0) /
+                          static_cast<double>(r.n_computed_interactions);
+    t.add_row({r.name, Table::integer(r.n_central_blocks),
+               Table::integer(r.n_neighbor_slots),
+               Table::integer(r.n_computed_interactions),
+               Table::percent(useful, 0)});
+  }
   return t.render();
 }
 

@@ -24,6 +24,11 @@ std::string format_dataset_table(const Problem& problem,
 /// Paper Table 3: variant descriptions.
 std::string format_variants_table();
 
+/// Paper Section 3: how each variant maps the neighbor lists onto the
+/// clusters -- central blocks, neighbor slots, computed interactions and
+/// the share of them that is useful work.
+std::string format_work_shape(const std::vector<VariantResult>& results);
+
 /// Paper Table 4: arithmetic intensity (calculated vs measured).
 std::string format_arithmetic_intensity_table(
     const std::vector<VariantResult>& results);

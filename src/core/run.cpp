@@ -99,8 +99,7 @@ VariantResult run_variant(const Problem& problem, Variant variant,
 std::vector<VariantResult> run_all_variants(const Problem& problem,
                                             const sim::MachineConfig& cfg) {
   std::vector<VariantResult> out;
-  for (Variant v : {Variant::kExpanded, Variant::kFixed, Variant::kVariable,
-                    Variant::kDuplicated}) {
+  for (const Variant v : kAllVariants) {
     out.push_back(run_variant(problem, v, cfg));
   }
   return out;

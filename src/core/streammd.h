@@ -9,11 +9,19 @@
 //                 neighbor partial-force output
 #pragma once
 
+#include <array>
+#include <stdexcept>
 #include <string>
 
 namespace smd::core {
 
 enum class Variant { kExpanded, kFixed, kVariable, kDuplicated };
+
+/// Every variant in enum order -- the order of run_all_variants, the
+/// report tables and BENCH_baseline.json.
+inline constexpr std::array kAllVariants = {
+    Variant::kExpanded, Variant::kFixed, Variant::kVariable,
+    Variant::kDuplicated};
 
 inline const char* variant_name(Variant v) {
   switch (v) {
@@ -23,6 +31,14 @@ inline const char* variant_name(Variant v) {
     case Variant::kDuplicated: return "duplicated";
   }
   return "?";
+}
+
+/// Inverse of variant_name; throws std::invalid_argument on an unknown name.
+inline Variant parse_variant(const std::string& s) {
+  for (const Variant v : kAllVariants) {
+    if (s == variant_name(v)) return v;
+  }
+  throw std::invalid_argument("unknown variant '" + s + "'");
 }
 
 inline const char* variant_description(Variant v) {

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <stdexcept>
+#include <string>
 
 namespace smd::md {
 
@@ -16,7 +18,19 @@ double NeighborList::mean_degree() const {
   return static_cast<double>(n_pairs()) / n_molecules();
 }
 
+namespace {
+
+void require_valid_cutoff(double cutoff) {
+  if (!std::isfinite(cutoff) || cutoff <= 0.0) {
+    throw std::invalid_argument("neighbor-list cutoff must be finite and "
+                                "positive, got " + std::to_string(cutoff));
+  }
+}
+
+}  // namespace
+
 NeighborList build_neighbor_list_brute(const WaterSystem& sys, double cutoff) {
+  require_valid_cutoff(cutoff);
   const int n = sys.n_molecules();
   const double rc2 = cutoff * cutoff;
   NeighborList list;
@@ -53,9 +67,19 @@ struct CellGrid {
 CellGrid bin_molecules(const WaterSystem& sys, double cutoff) {
   CellGrid g;
   const Box& box = sys.box();
-  g.nx = std::max(1, static_cast<int>(box.length.x / cutoff));
-  g.ny = std::max(1, static_cast<int>(box.length.y / cutoff));
-  g.nz = std::max(1, static_cast<int>(box.length.z / cutoff));
+  // As many cutoff-wide cells per edge as fit, but no more than about one
+  // cell per molecule in all: finer cells only add empty stencil visits,
+  // and the cap keeps the int cast in range for a tiny cutoff. At least 3
+  // keeps the 27-cell stencil complete; cells wider than the cutoff stay
+  // exact.
+  const double max_cells = std::max(
+      3.0, std::ceil(std::cbrt(static_cast<double>(sys.n_molecules()))));
+  const auto cells_per_edge = [&](double length) {
+    return static_cast<int>(std::clamp(length / cutoff, 3.0, max_cells));
+  };
+  g.nx = cells_per_edge(box.length.x);
+  g.ny = cells_per_edge(box.length.y);
+  g.nz = cells_per_edge(box.length.z);
   g.cells.resize(static_cast<std::size_t>(g.nx) * g.ny * g.nz);
   for (int m = 0; m < sys.n_molecules(); ++m) {
     const Vec3 p = box.wrap(sys.molecule_center(m));
@@ -70,6 +94,7 @@ CellGrid bin_molecules(const WaterSystem& sys, double cutoff) {
 }  // namespace
 
 NeighborList build_neighbor_list(const WaterSystem& sys, double cutoff) {
+  require_valid_cutoff(cutoff);
   const Box& box = sys.box();
   // The 27-cell stencil is only complete when at least 3 cells fit per
   // dimension; otherwise fall back to the exact quadratic builder.

@@ -42,6 +42,9 @@ struct NeighborList {
   double mean_degree() const;
 };
 
+/// Both builders throw std::invalid_argument unless the cutoff is finite
+/// and positive.
+
 /// O(N^2) reference builder (ground truth for tests).
 NeighborList build_neighbor_list_brute(const WaterSystem& sys, double cutoff);
 

@@ -32,7 +32,7 @@ tune::Candidate candidate_from_partial_json(const obs::Json& j) {
   for (const auto& [key, value] : j.items()) {
     try {
       if (key == "variant") {
-        c.variant = tune::parse_variant(value.as_string());
+        c.variant = core::parse_variant(value.as_string());
       } else if (key == "L") {
         c.fixed_list_length = static_cast<int>(value.as_int());
       } else if (key == "blocking") {

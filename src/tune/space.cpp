@@ -16,15 +16,6 @@ std::string fmt_double(double v) {
 
 }  // namespace
 
-core::Variant parse_variant(const std::string& s) {
-  for (core::Variant v :
-       {core::Variant::kExpanded, core::Variant::kFixed,
-        core::Variant::kVariable, core::Variant::kDuplicated}) {
-    if (s == core::variant_name(v)) return v;
-  }
-  throw std::invalid_argument("unknown variant '" + s + "'");
-}
-
 sim::SdrPolicy parse_sdr(const std::string& s) {
   if (s == "conservative") return sim::SdrPolicy::kConservative;
   if (s == "transfer") return sim::SdrPolicy::kTransferScoped;
@@ -70,7 +61,7 @@ bool parse_bool(const std::string& axis, const std::string& s) {
 /// map to Candidate fields (set/enumerate and the CLI both go through it).
 void apply(Candidate& c, const std::string& axis, const std::string& value) {
   if (axis == "variant") {
-    c.variant = parse_variant(value);
+    c.variant = core::parse_variant(value);
   } else if (axis == "L") {
     c.fixed_list_length = static_cast<int>(parse_int(axis, value));
   } else if (axis == "blocking") {
@@ -218,7 +209,7 @@ obs::Json Candidate::to_json() const {
 
 Candidate Candidate::from_json(const obs::Json& j) {
   Candidate c;
-  c.variant = parse_variant(j.at("variant").as_string());
+  c.variant = core::parse_variant(j.at("variant").as_string());
   c.fixed_list_length = static_cast<int>(j.at("L").as_int());
   c.blocking_cells = static_cast<int>(j.at("blocking").as_int());
   c.sdr_policy = parse_sdr(j.at("sdr").as_string());

@@ -63,9 +63,8 @@ struct Candidate {
 std::uint64_t config_hash(const Candidate& c, const std::string& salt = "");
 
 /// Axis-value parsing/printing shared by the sweep parser, the candidate
-/// JSON round-trip and the svc wire format. Throw std::invalid_argument
-/// on unknown names.
-core::Variant parse_variant(const std::string& s);
+/// JSON round-trip and the svc wire format (variants: core::parse_variant).
+/// Throw std::invalid_argument on unknown names.
 sim::SdrPolicy parse_sdr(const std::string& s);
 const char* sdr_name(sim::SdrPolicy p);
 

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <limits>
+#include <stdexcept>
 
 #include "src/md/constants.h"
 #include "src/md/force_ref.h"
@@ -157,7 +159,32 @@ INSTANTIATE_TEST_SUITE_P(
     Sweep, NeighborListParam,
     ::testing::Values(std::make_tuple(64, 0.5), std::make_tuple(125, 0.6),
                       std::make_tuple(216, 0.45), std::make_tuple(343, 0.55),
-                      std::make_tuple(512, 0.7)));
+                      std::make_tuple(512, 0.7),
+                      // 0.2 nm would fit 10 cells per edge; the cap of
+                      // about one cell per molecule widens them to 7.
+                      std::make_tuple(343, 0.2)));
+
+TEST(NeighborList, RejectsNonFiniteOrNonPositiveCutoff) {
+  WaterBoxOptions opts;
+  opts.n_molecules = 64;
+  const WaterSystem sys = build_water_box(opts);
+  for (const double rc : {std::nan(""), std::numeric_limits<double>::infinity(),
+                          0.0, -1.0}) {
+    EXPECT_THROW(build_neighbor_list(sys, rc), std::invalid_argument) << rc;
+    EXPECT_THROW(build_neighbor_list_brute(sys, rc), std::invalid_argument)
+        << rc;
+  }
+}
+
+TEST(NeighborList, TinyCutoffGivesAnEmptyList) {
+  // L / cutoff overflows int here; the capped grid must not.
+  WaterBoxOptions opts;
+  opts.n_molecules = 216;
+  const WaterSystem sys = build_water_box(opts);
+  const NeighborList list = build_neighbor_list(sys, 1e-9);
+  EXPECT_EQ(list.n_molecules(), 216);
+  EXPECT_EQ(list.n_pairs(), 0);
+}
 
 TEST(NeighborList, HalfListNoSelfNoDuplicates) {
   WaterBoxOptions opts;
