@@ -134,5 +134,5 @@ int main(int argc, char** argv) {
   jout.root().set("no_cache", regime_json(core::BlockingModel(no_cache), sizes));
   jout.root().set("paper_regime",
                   regime_json(core::BlockingModel(paper_regime), sizes));
-  return 0;
+  return jout.finish();
 }

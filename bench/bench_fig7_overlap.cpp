@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
 
   if (!va.ok || !vb.ok) {
     std::fprintf(stderr, "timeline/RunStats cross-check FAILED\n");
-    return 1;
+    return jout.finish(1);
   }
-  return 0;
+  return jout.finish();
 }

@@ -1,8 +1,8 @@
 // Shared `--json <path>` / `--trace <path>` handling for the bench
 // binaries. Every bench constructs a JsonOut, fills its record with the
-// numbers it prints, and the record is written on scope exit -- so a run
-// with `--json out.json` leaves a diffable BENCH_*.json artifact next to
-// the human-readable table output.
+// numbers it prints, and ends main with `return jout.finish(status);` --
+// so a run with `--json out.json` leaves a diffable BENCH_*.json artifact
+// next to the human-readable table output, and exits 1 when it cannot.
 #pragma once
 
 #include <cmath>
@@ -254,13 +254,18 @@ class JsonOut {
     root_ = std::move(record);
   }
 
-  ~JsonOut() {
-    if (path_.empty()) return;
+  /// Write the record to the `--json` path, if one was given. Returns
+  /// `status`, or 1 when the record cannot be written (reported on
+  /// stderr as `error: ...`, like streammd_cli).
+  [[nodiscard]] int finish(int status = 0) {
+    if (path_.empty()) return status;
     try {
       obs::write_file(root_, path_);
       std::printf("json record written to %s\n", path_.c_str());
+      return status;
     } catch (const std::exception& e) {
-      std::fprintf(stderr, "failed to write %s: %s\n", path_.c_str(), e.what());
+      std::fprintf(stderr, "error: %s\n", e.what());
+      return 1;
     }
   }
 

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
     const int failures = run_dataflow_report(json, cfg.lrf_words_per_cluster);
     json.root().set("failures", failures);
     std::printf("smdcheck: %d failures\n", failures);
-    return failures > 0 ? 1 : 0;
+    return json.finish(failures > 0 ? 1 : 0);
   }
 
   analysis::VerifyOptions vopts;
@@ -185,5 +185,5 @@ int main(int argc, char** argv) {
   json.root().set("errors", report.errors);
   json.root().set("warnings", report.warnings);
   json.root().set("units", std::move(report.units));
-  return report.errors > 0 ? 1 : 0;
+  return json.finish(report.errors > 0 ? 1 : 0);
 }

@@ -317,7 +317,7 @@ int main(int argc, char** argv) {
       const prof::Baseline b = prof::Baseline::load(positionals[0]);
       const prof::CompareReport rep = prof::compare(a, b);
       std::fputs(prof::format_compare(rep).c_str(), stdout);
-      return rep.ok() ? 0 : 1;
+      return json.finish(rep.ok() ? 0 : 1);
     }
 
     const int n_molecules = benchio::int_flag_or_exit(
@@ -386,7 +386,7 @@ int main(int argc, char** argv) {
       json.root().set("baseline_check", std::move(jr));
       if (!rep.ok()) status = 1;
     }
-    return status;
+    return json.finish(status);
   } catch (const std::exception& ex) {
     std::fprintf(stderr, "smdprof: %s\n", ex.what());
     return 2;

@@ -43,6 +43,14 @@ for preset in "${presets[@]}"; do
     # in the log even when other tests also fail.
     echo "==== lockstep engine cross-check (${preset}) ===="
     ctest --preset "${preset}" -R lockstep_test --output-on-failure
+    # Memory-system step/jump equivalence gate (DESIGN.md sections 3.4 and
+    # 10): stepping MemSystem::tick() once per cycle and jumping with
+    # tick_until(next_event_time()) must give identical statistics, op
+    # finish times and memory images over ~200 random op mixes on small,
+    # often non-power-of-two machines, and three pinned mixes must keep
+    # their exact statistics. Re-run standalone so a divergence is named.
+    echo "==== memory-system step/jump equivalence (${preset}) ===="
+    ctest --preset "${preset}" -R '^mem_test$' --output-on-failure
   fi
   # Kernel-backend equivalence gate (DESIGN.md section 17): the compiled
   # threaded-code VM must stay bit-identical to the reference interpreter

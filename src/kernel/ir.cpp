@@ -105,12 +105,6 @@ FlopCensus census_of(const std::vector<Instr>& prog) {
 
 FlopCensus KernelDef::body_census() const { return census_of(body); }
 
-FlopCensus KernelDef::outer_census() const {
-  FlopCensus c = census_of(outer_pre);
-  c += census_of(outer_post);
-  return c;
-}
-
 void KernelDef::validate() const {
   auto check_reg = [&](int r, const char* what) {
     if (r < 0 || r >= n_regs) {

@@ -107,8 +107,6 @@ struct KernelDef {
 
   /// Census of one body iteration (conditional accesses counted as taken).
   FlopCensus body_census() const;
-  /// Census of one outer_pre + outer_post pass.
-  FlopCensus outer_census() const;
 
   /// Structural validation: register indices in range, stream slots match
   /// declarations and directions, counts positive. Throws on violation.

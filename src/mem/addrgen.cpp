@@ -9,45 +9,17 @@ void AddressGenerator::start(const MemOpDesc* desc) {
   record_ = 0;
   word_in_record_ = 0;
   word_pos_ = 0;
-  if (desc_ != nullptr &&
-      (desc_->kind == MemOpKind::kLoadGather ||
-       desc_->kind == MemOpKind::kStoreScatter ||
-       desc_->kind == MemOpKind::kScatterAdd) &&
+  n_records_ = desc_ != nullptr ? desc_->n_records : 0;
+  record_words_ = desc_ != nullptr ? desc_->record_words : 1;
+  if (desc_ != nullptr && !is_strided(desc_->kind) &&
       static_cast<std::int64_t>(desc_->indices.size()) < desc_->n_records) {
     throw std::runtime_error("address generator: index stream too short");
   }
+  if (!done()) load_record();
 }
 
-bool AddressGenerator::done() const {
-  return desc_ == nullptr || record_ >= desc_->n_records;
-}
-
-std::uint64_t AddressGenerator::peek() const {
-  if (done()) throw std::runtime_error("address generator exhausted");
-  std::uint64_t rec_base;
-  switch (desc_->kind) {
-    case MemOpKind::kLoadStrided:
-    case MemOpKind::kStoreStrided: {
-      const std::int64_t stride =
-          desc_->stride_words != 0 ? desc_->stride_words : desc_->record_words;
-      rec_base = desc_->base + static_cast<std::uint64_t>(record_ * stride);
-      break;
-    }
-    default:
-      rec_base = desc_->base +
-                 desc_->indices[static_cast<std::size_t>(record_)] *
-                     static_cast<std::uint64_t>(desc_->record_words);
-  }
-  return rec_base + static_cast<std::uint64_t>(word_in_record_);
-}
-
-void AddressGenerator::advance() {
-  if (done()) return;
-  ++word_pos_;
-  if (++word_in_record_ >= desc_->record_words) {
-    word_in_record_ = 0;
-    ++record_;
-  }
+void AddressGenerator::exhausted() {
+  throw std::runtime_error("address generator exhausted");
 }
 
 }  // namespace smd::mem

@@ -4,47 +4,27 @@
 
 namespace smd::mem {
 
-CacheTags::CacheTags(const CacheConfig& cfg) : cfg_(cfg) {
-  const std::int64_t lines = cfg_.total_words / cfg_.line_words;
-  n_sets_ = lines / cfg_.associativity;
-  if (n_sets_ <= 0) throw std::runtime_error("cache too small");
-  ways_.assign(static_cast<std::size_t>(lines), Way{});
-}
+namespace {
 
-int CacheTags::bank_of(std::uint64_t word_addr) const {
-  return static_cast<int>(line_of(word_addr) %
-                          static_cast<std::uint64_t>(cfg_.n_banks));
-}
-
-std::size_t CacheTags::set_index(std::uint64_t line_addr) const {
-  return static_cast<std::size_t>(line_addr % static_cast<std::uint64_t>(n_sets_));
-}
-
-CacheTags::Way* CacheTags::find(std::uint64_t line_addr) {
-  const std::size_t s = set_index(line_addr);
-  for (int w = 0; w < cfg_.associativity; ++w) {
-    Way& way = ways_[s * static_cast<std::size_t>(cfg_.associativity) +
-                     static_cast<std::size_t>(w)];
-    if (way.valid && way.line == line_addr) return &way;
+std::int64_t total_sets(const CacheConfig& cfg) {
+  if (cfg.n_banks <= 0 || cfg.line_words <= 0 || cfg.associativity <= 0) {
+    throw std::runtime_error("cache geometry must be positive");
   }
-  return nullptr;
+  const std::int64_t sets =
+      cfg.total_words / cfg.line_words / cfg.associativity;
+  if (sets <= 0) throw std::runtime_error("cache too small");
+  return sets;
 }
 
-const CacheTags::Way* CacheTags::find(std::uint64_t line_addr) const {
-  return const_cast<CacheTags*>(this)->find(line_addr);
-}
+}  // namespace
 
-CacheOutcome CacheTags::probe(std::uint64_t word_addr) {
-  ++tick_;
-  ++stats_.accesses;
-  Way* way = find(line_of(word_addr));
-  if (way != nullptr) {
-    way->lru = tick_;
-    ++stats_.hits;
-    return CacheOutcome::kHit;
-  }
-  ++stats_.misses;
-  return CacheOutcome::kMiss;
+CacheTags::CacheTags(const CacheConfig& cfg)
+    : cfg_(cfg),
+      line_words_(static_cast<std::uint64_t>(cfg.line_words)),
+      banks_(static_cast<std::uint64_t>(cfg.n_banks)),
+      sets_(static_cast<std::uint64_t>(total_sets(cfg))) {
+  ways_.assign(static_cast<std::size_t>(cfg_.total_words / cfg_.line_words),
+               Way{});
 }
 
 void CacheTags::install(std::uint64_t line_addr, bool* evicted_valid,
@@ -54,11 +34,11 @@ void CacheTags::install(std::uint64_t line_addr, bool* evicted_valid,
   *evicted_dirty = false;
   *evicted_line = 0;
   if (find(line_addr) != nullptr) return;  // already resident
-  const std::size_t s = set_index(line_addr);
+  Way* set = &ways_[sets_.mod(line_addr) *
+                    static_cast<std::size_t>(cfg_.associativity)];
   Way* victim = nullptr;
   for (int w = 0; w < cfg_.associativity; ++w) {
-    Way& way = ways_[s * static_cast<std::size_t>(cfg_.associativity) +
-                     static_cast<std::size_t>(w)];
+    Way& way = set[w];
     if (!way.valid) {
       victim = &way;
       break;
@@ -75,15 +55,6 @@ void CacheTags::install(std::uint64_t line_addr, bool* evicted_valid,
   victim->dirty = false;
   victim->line = line_addr;
   victim->lru = tick_;
-}
-
-void CacheTags::mark_dirty(std::uint64_t word_addr) {
-  Way* way = find(line_of(word_addr));
-  if (way != nullptr) way->dirty = true;
-}
-
-bool CacheTags::resident(std::uint64_t word_addr) const {
-  return find(line_of(word_addr)) != nullptr;
 }
 
 }  // namespace smd::mem

@@ -10,6 +10,8 @@
 #include <cstdint>
 #include <vector>
 
+#include "src/mem/fixed.h"
+
 namespace smd::mem {
 
 struct CacheConfig {
@@ -43,13 +45,29 @@ class CacheTags {
  public:
   explicit CacheTags(const CacheConfig& cfg);
 
-  int bank_of(std::uint64_t word_addr) const;
+  int bank_of(std::uint64_t word_addr) const {
+    return bank_of_line(line_of(word_addr));
+  }
+  int bank_of_line(std::uint64_t line_addr) const {
+    return static_cast<int>(banks_.mod(line_addr));
+  }
   std::uint64_t line_of(std::uint64_t word_addr) const {
-    return word_addr / static_cast<std::uint64_t>(cfg_.line_words);
+    return line_words_.div(word_addr);
   }
 
   /// Probe (and update LRU on hit). Does not allocate.
-  CacheOutcome probe(std::uint64_t word_addr);
+  CacheOutcome probe(std::uint64_t word_addr) {
+    ++tick_;
+    ++stats_.accesses;
+    Way* way = find(line_of(word_addr));
+    if (way == nullptr) {
+      ++stats_.misses;
+      return CacheOutcome::kMiss;
+    }
+    way->lru = tick_;
+    ++stats_.hits;
+    return CacheOutcome::kHit;
+  }
 
   /// Install a line; returns the evicted line address via out params.
   /// `evicted_dirty` reports whether a dirty line was displaced.
@@ -57,10 +75,21 @@ class CacheTags {
                std::uint64_t* evicted_line, bool* evicted_dirty);
 
   /// Mark the line containing addr dirty (must be resident).
-  void mark_dirty(std::uint64_t word_addr);
+  void mark_dirty(std::uint64_t word_addr) {
+    if (Way* way = find(line_of(word_addr))) way->dirty = true;
+  }
 
-  /// True if the line containing addr is resident.
-  bool resident(std::uint64_t word_addr) const;
+  /// Probe only if the line containing addr is resident (a write-through
+  /// store keeping a cached copy coherent): counts the access and hit and
+  /// refreshes the LRU; an absent line is not counted at all.
+  void probe_if_resident(std::uint64_t word_addr) {
+    Way* way = find(line_of(word_addr));
+    if (way == nullptr) return;
+    ++tick_;
+    ++stats_.accesses;
+    way->lru = tick_;
+    ++stats_.hits;
+  }
 
   const CacheStats& stats() const { return stats_; }
   CacheStats& stats() { return stats_; }
@@ -74,12 +103,19 @@ class CacheTags {
     std::uint64_t lru = 0;
   };
 
-  std::size_t set_index(std::uint64_t line_addr) const;
-  Way* find(std::uint64_t line_addr);
-  const Way* find(std::uint64_t line_addr) const;
+  Way* find(std::uint64_t line_addr) {
+    Way* set = &ways_[sets_.mod(line_addr) *
+                      static_cast<std::size_t>(cfg_.associativity)];
+    for (int w = 0; w < cfg_.associativity; ++w) {
+      if (set[w].valid && set[w].line == line_addr) return &set[w];
+    }
+    return nullptr;
+  }
 
   CacheConfig cfg_;
-  std::int64_t n_sets_;  ///< total sets across all banks
+  FixedDivisor line_words_;
+  FixedDivisor banks_;
+  FixedDivisor sets_;  ///< total sets across all banks
   std::vector<Way> ways_;
   std::uint64_t tick_ = 0;
   CacheStats stats_;

@@ -1,34 +1,25 @@
 #include "src/mem/scatteradd.h"
 
+#include <algorithm>
+
 namespace smd::mem {
 
-bool CombiningStore::try_merge(std::uint64_t word_addr, std::uint64_t now) {
-  auto it = entries_.find(word_addr);
-  if (it == entries_.end()) return false;
-  // Merging extends the in-flight addition's window by one FU pass.
-  it->second = now + static_cast<std::uint64_t>(cfg_.latency);
-  ++stats_.requests;
-  ++stats_.combined;
-  return true;
-}
+CombiningStore::CombiningStore(const ScatterAddConfig& cfg)
+    : latency_(static_cast<std::uint64_t>(cfg.latency)),
+      entries_(cfg.combining_entries > 0
+                   ? static_cast<std::size_t>(cfg.combining_entries)
+                   : 0) {}
 
-bool CombiningStore::try_allocate(std::uint64_t word_addr, std::uint64_t now) {
-  if (static_cast<int>(entries_.size()) >= cfg_.combining_entries) {
-    ++stats_.stalled;
-    return false;
-  }
-  entries_.emplace(word_addr, now + static_cast<std::uint64_t>(cfg_.latency));
-  ++stats_.requests;
-  ++stats_.issued;
-  return true;
-}
-
-void CombiningStore::purge_expired(std::uint64_t now) {
-  for (auto it = entries_.begin(); it != entries_.end();) {
-    if (it->second <= now) {
-      it = entries_.erase(it);
+void CombiningStore::purge(std::uint64_t now) {
+  // One pass: swap-remove expired entries (lookups are by address, so the
+  // order is free) and recompute the earliest expiry of the rest.
+  earliest_expiry_ = ~0ULL;
+  for (std::size_t i = 0; i < n_;) {
+    if (entries_[i].expiry <= now) {
+      entries_[i] = entries_[--n_];
     } else {
-      ++it;
+      earliest_expiry_ = std::min(earliest_expiry_, entries_[i].expiry);
+      ++i;
     }
   }
 }

@@ -574,19 +574,18 @@ RunStats RunContext::run_event() {
       retire_kernel();
       retired = true;
     }
-    if (!running_memops_.empty()) {
-      std::vector<int> keep;
-      keep.reserve(running_memops_.size());
-      for (int i : running_memops_) {
-        if (memsys_.op_done(st_[static_cast<std::size_t>(i)].mem_id)) {
-          retire_memop(i);
-          retired = true;
-        } else {
-          keep.push_back(i);
-        }
+    // Retire finished memory ops in issue order, compacting the rest in
+    // place (this runs about once per simulated cycle).
+    std::size_t kept = 0;
+    for (const int i : running_memops_) {
+      if (memsys_.op_done(st_[static_cast<std::size_t>(i)].mem_id)) {
+        retire_memop(i);
+        retired = true;
+      } else {
+        running_memops_[kept++] = i;
       }
-      running_memops_.swap(keep);
     }
+    running_memops_.resize(kept);
     if (now_ - last_progress_ > kDeadlockCycles) throw_deadlock();
     if (retired && remaining_ > 0) {
       starved = issue_pass();

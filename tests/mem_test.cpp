@@ -1,6 +1,10 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <initializer_list>
 #include <numeric>
+#include <string>
 
 #include "src/mem/addrgen.h"
 #include "src/mem/cache.h"
@@ -186,7 +190,7 @@ TEST(Dram, ReadCompletesAfterLatency) {
   std::vector<std::uint64_t> done;
   for (int t = 0; t < 200 && done.empty(); ++t) {
     dram.tick();
-    for (auto line : dram.drain_completed_reads()) done.push_back(line);
+    for (auto line : dram.completed_reads()) done.push_back(line);
   }
   ASSERT_EQ(done.size(), 1u);
   EXPECT_EQ(done[0], 3u);
@@ -205,7 +209,7 @@ TEST(Dram, PeakBandwidthApproached) {
   while (completed < n_lines) {
     while (issued < n_lines && dram.try_read_line(static_cast<std::uint64_t>(issued))) ++issued;
     dram.tick();
-    completed += static_cast<int>(dram.drain_completed_reads().size());
+    completed += static_cast<int>(dram.completed_reads().size());
     ASSERT_LT(dram.now(), 100000u);
   }
   const double words = static_cast<double>(n_lines) * 8;
@@ -230,11 +234,31 @@ TEST(Dram, RandomAccessSlowerThanSequential) {
         ++issued;
       }
       dram.tick();
-      completed += static_cast<int>(dram.drain_completed_reads().size());
+      completed += static_cast<int>(dram.completed_reads().size());
     }
     return dram.now();
   };
   EXPECT_GT(run(true), run(false));
+}
+
+TEST(Dram, SameCycleCompletionsPopInLineOrder) {
+  // Reads finishing in the same cycle on different channels return in
+  // ascending line order, whatever the channel order: the fill order
+  // decides cache install order and LRU victims.
+  DramConfig cfg;
+  cfg.channel_words_per_cycle = 8.0;  // a whole line per cycle
+  cfg.row_miss_penalty_words = 0;
+  cfg.access_latency = 5;
+  Dram dram(cfg, 8);
+  for (const std::uint64_t line : {8u, 1u, 18u, 3u}) {
+    ASSERT_TRUE(dram.try_read_line(line));  // channels 0, 1, 2, 3
+  }
+  std::vector<std::uint64_t> done;
+  for (int t = 0; t < 20 && done.empty(); ++t) {
+    dram.tick();
+    done.assign(dram.completed_reads().begin(), dram.completed_reads().end());
+  }
+  EXPECT_EQ(done, (std::vector<std::uint64_t>{1, 3, 8, 18}));
 }
 
 TEST(Dram, WritesDrain) {
@@ -526,6 +550,260 @@ TEST(MemSystem, ZeroLengthOpCompletesImmediately) {
   const auto id = ms.issue(d, &dst, nullptr);
   EXPECT_TRUE(ms.op_done(id));
   EXPECT_TRUE(dst.empty());
+}
+
+// ---------------------------------------------------------------------------
+// Step-vs-jump equivalence over random op mixes
+// ---------------------------------------------------------------------------
+
+/// One randomized workload: a small machine, often with non-power-of-two
+/// geometry, and ops issued at fixed cycles. The shapes are chosen so the
+/// blocking paths fire across a sweep: one MSHR or a one-deep DRAM read
+/// queue (blocked misses retried every cycle), a one-line write buffer on a
+/// slow channel (blocked write-through stores and dirty writebacks), one
+/// combining entry (stalled scatter-adds) and a cache of a few lines
+/// (dirty evictions).
+struct Mix {
+  struct Issue {
+    std::uint64_t at = 0;  ///< cycle at which the op is issued
+    MemOpDesc desc;
+    std::vector<double> src;  ///< stores and scatter-adds
+  };
+  MemSystemConfig cfg;
+  std::int64_t memory_words = 0;
+  std::vector<Issue> ops;
+};
+
+template <class T>
+T pick(util::Rng& rng, std::initializer_list<T> choices) {
+  return *(choices.begin() + rng.uniform_u64(choices.size()));
+}
+
+Mix random_mix(std::uint64_t seed) {
+  util::Rng rng(seed);
+  Mix m;
+  CacheConfig& c = m.cfg.cache;
+  c.n_banks = pick(rng, {1, 2, 3, 4, 8});
+  c.line_words = pick(rng, {4, 6, 8});
+  c.associativity = pick(rng, {1, 2, 3, 4});
+  c.total_words = static_cast<std::int64_t>(c.n_banks) * c.associativity *
+                  pick(rng, {1, 2, 3, 4}) * c.line_words;
+  c.hit_latency = pick(rng, {1, 8});
+  c.mshrs_per_bank = pick(rng, {1, 2, 3, 8});
+  c.bank_queue_depth = pick(rng, {1, 2, 5, 16});
+  DramConfig& d = m.cfg.dram;
+  d.n_channels = pick(rng, {1, 2, 3, 8});
+  d.channel_words_per_cycle = pick(rng, {0.3, 0.6, 1.0, 2.5});
+  d.access_latency = pick(rng, {0, 1, 7, 20});
+  d.row_words = pick(rng, {16, 48, 2048});
+  d.row_miss_penalty_words = pick(rng, {0, 8});
+  d.read_queue_depth = pick(rng, {1, 2, 4, 16});
+  d.write_buffer_words = c.line_words * pick<std::int64_t>(rng, {1, 2, 32});
+  ScatterAddConfig& s = m.cfg.scatter_add;
+  s.latency = pick(rng, {1, 4, 9});
+  s.combining_entries = pick(rng, {1, 2, 8});
+  m.cfg.n_address_generators = pick(rng, {1, 2, 3});
+  m.cfg.addrs_per_generator = pick(rng, {1, 4, 5});
+
+  m.memory_words = pick<std::int64_t>(rng, {64, 200, 1024});
+  const int n_ops = 2 + static_cast<int>(rng.uniform_u64(7));
+  std::uint64_t at = 0;
+  for (int i = 0; i < n_ops; ++i) {
+    Mix::Issue op;
+    at += pick<std::uint64_t>(rng, {0, 0, 1, 3, 40, 400});
+    op.at = at;
+    MemOpDesc& desc = op.desc;
+    desc.kind = static_cast<MemOpKind>(rng.uniform_u64(5));
+    desc.record_words = 1 + static_cast<int>(rng.uniform_u64(9));
+    const std::int64_t fit = m.memory_words / desc.record_words;
+    desc.n_records = 1 + static_cast<std::int64_t>(
+                             rng.uniform_u64(std::min<std::int64_t>(fit, 48)));
+    if (desc.kind == MemOpKind::kLoadStrided ||
+        desc.kind == MemOpKind::kStoreStrided) {
+      desc.stride_words = pick<std::int64_t>(
+          rng, {0, 0, desc.record_words + 1, 3 * desc.record_words});
+      const std::int64_t stride =
+          desc.stride_words != 0 ? desc.stride_words : desc.record_words;
+      desc.n_records = std::min(
+          desc.n_records, (m.memory_words - desc.record_words) / stride + 1);
+      const std::int64_t span =
+          (desc.n_records - 1) * stride + desc.record_words;
+      desc.base = rng.uniform_u64(static_cast<std::uint64_t>(
+          m.memory_words - span + 1));
+    } else {
+      // A small hot set gives duplicate indices (combining, secondary
+      // misses); the whole footprint gives cold misses and evictions.
+      const std::int64_t hot =
+          std::min(fit, pick<std::int64_t>(rng, {2, 5, fit}));
+      for (std::int64_t r = 0; r < desc.n_records; ++r) {
+        desc.indices.push_back(rng.uniform_u64(static_cast<std::uint64_t>(hot)));
+      }
+    }
+    if (is_store(desc.kind)) {
+      for (std::int64_t w = 0; w < desc.total_words(); ++w) {
+        op.src.push_back(rng.uniform(-1.0, 1.0));
+      }
+    }
+    m.ops.push_back(std::move(op));
+  }
+  return m;
+}
+
+constexpr const char* kStatNames[] = {
+    "ops", "words_loaded", "words_stored", "addr_generated", "busy_cycles",
+    "cache.accesses", "cache.hits", "cache.misses", "cache.secondary_misses",
+    "cache.dirty_evictions", "dram.read_lines", "dram.read_words",
+    "dram.write_words", "dram.row_misses", "dram.busy_cycles",
+    "scatter_add.requests", "scatter_add.combined", "scatter_add.issued",
+    "scatter_add.stalled", "final_cycle", "sum_finish_time"};
+
+struct MixRun {
+  std::vector<std::int64_t> stats;  ///< in kStatNames order
+  std::vector<std::uint64_t> finish;
+  std::vector<std::uint64_t> image;  ///< memory words as bit patterns
+  std::vector<std::vector<double>> loaded;
+};
+
+enum class Drive { kStep, kJump };
+
+/// Run a mix to quiescence. kStep calls tick() once per cycle -- the
+/// oracle. kJump advances the way the event engine does: tick_until() to
+/// the next event (bounded by pending op pipeline drains), alternating
+/// with single long tick_until() leaps to the next issue cycle.
+MixRun run_mix(const Mix& m, Drive drive) {
+  GlobalMemory mem;
+  mem.alloc(m.memory_words);
+  for (std::int64_t i = 0; i < m.memory_words; ++i) {
+    mem.write(static_cast<std::uint64_t>(i), 0.25 * static_cast<double>(i));
+  }
+  MemSystem ms(m.cfg, &mem);
+  MixRun out;
+  out.loaded.resize(m.ops.size());
+  std::vector<MemSystem::OpId> ids;
+  const auto next_event = [&] {
+    std::uint64_t t = ms.next_event_time();
+    for (const MemSystem::OpId id : ids) {
+      if (ms.op_completed(id) && !ms.op_done(id)) {
+        t = std::min(t, std::max(ms.op_finish_time(id), ms.now() + 1));
+      }
+    }
+    return t;
+  };
+  for (std::size_t k = 0; k < m.ops.size(); ++k) {
+    const Mix::Issue& op = m.ops[k];
+    if (drive == Drive::kStep) {
+      while (ms.now() < op.at) ms.tick();
+    } else if (k % 2 == 0) {
+      ms.tick_until(op.at);
+    } else {
+      while (ms.now() < op.at) ms.tick_until(std::min(op.at, next_event()));
+    }
+    const bool load = is_load(op.desc.kind);
+    ids.push_back(ms.issue(op.desc, load ? &out.loaded[k] : nullptr,
+                           load ? nullptr : &op.src));
+  }
+  while (!ms.all_done()) {
+    if (drive == Drive::kStep) {
+      ms.tick();
+    } else {
+      const std::uint64_t t = next_event();
+      if (t == MemSystem::kNever) {
+        ADD_FAILURE() << "memory system busy with no next event";
+        break;
+      }
+      ms.tick_until(t);
+    }
+    if (ms.now() > 10'000'000) {
+      ADD_FAILURE() << "memory system did not drain";
+      break;
+    }
+  }
+  std::int64_t sum_finish = 0;
+  for (const MemSystem::OpId id : ids) {
+    out.finish.push_back(ms.op_finish_time(id));
+    sum_finish += static_cast<std::int64_t>(ms.op_finish_time(id));
+  }
+  const MemSystemStats& s = ms.stats();
+  const CacheStats& c = ms.cache_stats();
+  const DramStats& d = ms.dram_stats();
+  const ScatterAddStats sa = ms.scatter_add_stats();
+  out.stats = {s.ops, s.words_loaded, s.words_stored, s.addr_generated,
+               s.busy_cycles, c.accesses, c.hits, c.misses,
+               c.secondary_misses, c.dirty_evictions, d.read_lines,
+               d.read_words, d.write_words, d.row_misses, d.busy_cycles,
+               sa.requests, sa.combined, sa.issued, sa.stalled,
+               static_cast<std::int64_t>(ms.now()), sum_finish};
+  for (std::int64_t i = 0; i < m.memory_words; ++i) {
+    out.image.push_back(
+        std::bit_cast<std::uint64_t>(mem.read(static_cast<std::uint64_t>(i))));
+  }
+  return out;
+}
+
+std::string stats_diff(const std::vector<std::int64_t>& want,
+                       const std::vector<std::int64_t>& got) {
+  std::string diff;
+  for (std::size_t i = 0; i < want.size() && i < got.size(); ++i) {
+    if (want[i] != got[i]) {
+      diff += std::string(" ") + kStatNames[i] + ": " +
+              std::to_string(want[i]) + " vs " + std::to_string(got[i]) + ";";
+    }
+  }
+  return diff;
+}
+
+TEST(MemSystemProperty, SteppedAndJumpedRunsAreBitIdentical) {
+  int dirty_evictions = 0, stalled = 0, retried_misses = 0, fast_forwards = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Mix m = random_mix(seed);
+    const MixRun step = run_mix(m, Drive::kStep);
+    const MixRun jump = run_mix(m, Drive::kJump);
+    ASSERT_EQ(step.stats, jump.stats)
+        << "seed " << seed << ":" << stats_diff(step.stats, jump.stats);
+    ASSERT_EQ(step.finish, jump.finish) << "seed " << seed;
+    ASSERT_EQ(step.image, jump.image) << "seed " << seed;
+    ASSERT_EQ(step.loaded, jump.loaded) << "seed " << seed;
+    // stats: 9 dirty_evictions, 18 stalled, 7 misses, 8 secondary, 10 reads.
+    dirty_evictions += step.stats[9] > 0;
+    stalled += step.stats[18] > 0;
+    // A probe miss that neither opened a fill nor folded into one was
+    // blocked (MSHRs, DRAM read queue or combining store full) and retried.
+    retried_misses += step.stats[7] > step.stats[8] + step.stats[10];
+    // Memory-busy cycles well short of the final cycle mean idle stretches
+    // that the jumped run crossed in one leap.
+    fast_forwards += step.stats[4] + 100 < step.stats[19];
+  }
+  EXPECT_GT(dirty_evictions, 10);
+  EXPECT_GT(stalled, 10);
+  EXPECT_GT(retried_misses, 10);
+  EXPECT_GT(fast_forwards, 10);
+}
+
+TEST(MemSystemProperty, PinnedMixStats) {
+  // Exact statistics of three fixed mixes (8 banks of 4-word lines with
+  // one MSHR each; 3 banks of 6-word lines on one slow channel; 8 banks of
+  // 6-word lines on 2 channels of latency 20), captured from the model
+  // before its data structures were made fixed-capacity. Any change to the
+  // retry-counting semantics (a blocked bank re-probing the cache and
+  // re-counting scatter-add stalls every cycle), the fill order of
+  // same-cycle DRAM completions or the combining window shows up here.
+  struct Pin {
+    std::uint64_t seed;
+    std::vector<std::int64_t> stats;
+  };
+  const Pin pins[] = {
+      {18, {7, 290, 880, 1170, 1403, 2876, 2657, 219, 37, 1, 93, 372, 204, 3,
+            266, 680, 9, 671, 1686, 1732, 8056}},
+      {54, {8, 263, 681, 944, 2007, 1861, 496, 1365, 306, 3, 77, 462, 318, 1,
+            2600, 381, 18, 363, 306, 2600, 8945}},
+      {113, {8, 624, 357, 981, 1607, 2140, 133, 2007, 432, 36, 121, 726, 534,
+             102, 1749, 39, 1, 38, 0, 1789, 9315}},
+  };
+  for (const Pin& pin : pins) {
+    const MixRun run = run_mix(random_mix(pin.seed), Drive::kStep);
+    EXPECT_EQ(run.stats, pin.stats)
+        << "seed " << pin.seed << ":" << stats_diff(pin.stats, run.stats);
+  }
 }
 
 }  // namespace
