@@ -6,7 +6,8 @@
 #   scripts/check.sh            # both configurations
 #   scripts/check.sh default    # just the default build
 #   scripts/check.sh asan-ubsan # just the sanitizer build
-#   scripts/check.sh tsan       # ThreadSanitizer (tuner pool + obs registry)
+#   scripts/check.sh tsan       # ThreadSanitizer (tuner/svc pools, kernel
+#                               # lane, obs registry)
 #
 # Each preset also runs `smdcheck --all` (the static verifier over every
 # built-in kernel, stream program and blocking scheme — see DESIGN.md
@@ -33,16 +34,22 @@ for preset in "${presets[@]}"; do
   cmake --preset "${preset}"
   cmake --build --preset "${preset}" -j "$(nproc)"
   ctest --preset "${preset}" -j "$(nproc)"
+  # Engine equivalence and kernel-lane overlap race gate (DESIGN.md
+  # section 10): the event-driven simulation core must stay bit-identical
+  # to the cycle-stepped reference -- explicit stepped/event pairs
+  # (tests/differential.h) over randomized programs under both SDR
+  # policies plus all four StreamMD variants, comparing RunStats and the
+  # final memory image -- and both engines run a kernel launched during
+  # memory traffic on the kernel-lane thread, joined at its retirement
+  # (controller_test: lane errors, registry redirect, teardown). Runs
+  # under EVERY preset: under tsan it is the data-race gate for the
+  # controller/lane hand-off. Part of the suite above; re-run standalone
+  # so a divergence or race is named in the log even when other tests
+  # also fail.
+  echo "==== kernel-lane overlap race gate (${preset}) ===="
+  ctest --preset "${preset}" -R '^(lockstep_test|controller_test)$' \
+    --output-on-failure
   if [ "${preset}" = default ] || [ "${preset}" = asan-ubsan ]; then
-    # Engine equivalence gate (DESIGN.md section 10): the event-driven
-    # simulation core must stay bit-identical to the cycle-stepped
-    # reference -- explicit stepped/event pairs (tests/differential.h)
-    # over randomized programs under both SDR policies plus all four
-    # StreamMD variants, comparing RunStats and the final memory image.
-    # Part of the suite above; re-run standalone so a divergence is named
-    # in the log even when other tests also fail.
-    echo "==== lockstep engine cross-check (${preset}) ===="
-    ctest --preset "${preset}" -R lockstep_test --output-on-failure
     # Memory-system step/jump equivalence gate (DESIGN.md sections 3.4 and
     # 10): stepping MemSystem::tick() once per cycle and jumping with
     # tick_until(next_event_time()) must give identical statistics, op

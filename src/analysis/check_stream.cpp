@@ -35,39 +35,6 @@ bool is_indexed(mem::MemOpKind kind) {
          kind == mem::MemOpKind::kScatterAdd;
 }
 
-/// Merged, sorted half-open word-address intervals of one memory op.
-using Footprint = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
-
-Footprint footprint_of(const mem::MemOpDesc& desc) {
-  Footprint iv;
-  if (desc.n_records <= 0 || desc.record_words <= 0) return iv;
-  const auto rw = static_cast<std::uint64_t>(desc.record_words);
-  if (is_indexed(desc.kind)) {
-    iv.reserve(desc.indices.size());
-    for (std::uint64_t idx : desc.indices) {
-      const std::uint64_t lo = desc.base + idx * rw;
-      iv.emplace_back(lo, lo + rw);
-    }
-  } else {
-    const auto stride = static_cast<std::uint64_t>(
-        desc.stride_words == 0 ? desc.record_words : desc.stride_words);
-    for (std::int64_t r = 0; r < desc.n_records; ++r) {
-      const std::uint64_t lo = desc.base + static_cast<std::uint64_t>(r) * stride;
-      iv.emplace_back(lo, lo + rw);
-    }
-  }
-  std::sort(iv.begin(), iv.end());
-  Footprint merged;
-  for (const auto& [lo, hi] : iv) {
-    if (!merged.empty() && lo <= merged.back().second) {
-      merged.back().second = std::max(merged.back().second, hi);
-    } else {
-      merged.emplace_back(lo, hi);
-    }
-  }
-  return merged;
-}
-
 /// First overlapping word address of two footprints, if any.
 std::optional<std::uint64_t> first_overlap(const Footprint& a,
                                            const Footprint& b) {
@@ -243,7 +210,7 @@ class StreamChecker {
                      std::to_string(desc.indices.size()) + " indices");
       return;  // the footprint would be wrong
     }
-    is.footprint = footprint_of(desc);
+    is.footprint = memory_footprint(desc);
     if (opts_.memory_words > 0 && !is.footprint.empty()) {
       const std::uint64_t hi = is.footprint.back().second;
       if (hi > static_cast<std::uint64_t>(opts_.memory_words)) {
@@ -469,6 +436,55 @@ class StreamChecker {
 };
 
 }  // namespace
+
+Footprint memory_footprint(const mem::MemOpDesc& desc) {
+  Footprint fp;
+  if (desc.n_records <= 0 || desc.record_words <= 0) return fp;
+  const auto rw = static_cast<std::uint64_t>(desc.record_words);
+  const auto n = static_cast<std::uint64_t>(desc.n_records);
+  const auto stride = static_cast<std::uint64_t>(
+      desc.stride_words == 0 ? desc.record_words : desc.stride_words);
+  if (!is_indexed(desc.kind)) {
+    // When no record end passes 2^64 the record starts ascend and come
+    // out in order: no intervals to materialise and sort.
+    const std::uint64_t room = ~std::uint64_t{0} - desc.base;
+    if (rw <= room && n - 1 <= (room - rw) / stride) {
+      if (stride <= rw) {
+        // Each record starts at or before the previous one's end.
+        fp.emplace_back(desc.base, desc.base + (n - 1) * stride + rw);
+        return fp;
+      }
+      fp.reserve(n);
+      for (std::uint64_t r = 0; r < n; ++r) {
+        const std::uint64_t lo = desc.base + r * stride;
+        fp.emplace_back(lo, lo + rw);
+      }
+      return fp;
+    }
+  }
+  // Indexed ops, and strided ops whose addresses wrap (a negative stride
+  // is a huge unsigned one): sort the record starts and merge as they come.
+  std::vector<std::uint64_t> starts;
+  starts.reserve(n);
+  if (is_indexed(desc.kind)) {
+    for (const std::uint64_t idx : desc.indices) {
+      starts.push_back(desc.base + idx * rw);
+    }
+  } else {
+    for (std::uint64_t r = 0; r < n; ++r) {
+      starts.push_back(desc.base + r * stride);
+    }
+  }
+  std::sort(starts.begin(), starts.end());
+  for (const std::uint64_t lo : starts) {
+    if (!fp.empty() && lo <= fp.back().second) {
+      fp.back().second = std::max(fp.back().second, lo + rw);
+    } else {
+      fp.emplace_back(lo, lo + rw);
+    }
+  }
+  return fp;
+}
 
 Diagnostics check_stream_program(const StreamProgram& program,
                                  const StreamCheckOptions& opts) {

@@ -46,6 +46,7 @@
 
 #include <cstdint>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/analysis/diag.h"
@@ -73,6 +74,16 @@ Diagnostics check_stream_program(const sim::StreamProgram& program,
 /// CheckFailure when the checker reports errors.
 void require_valid_stream_program(const sim::StreamProgram& program,
                                   const StreamCheckOptions& opts = {});
+
+/// Merged, sorted half-open word-address intervals of one memory op.
+using Footprint = std::vector<std::pair<std::uint64_t, std::uint64_t>>;
+
+/// The words a memory op touches, as the race and range checks see them:
+/// record r covers [start_r, start_r + record_words) with start_r computed
+/// in wrapping 64-bit arithmetic, and overlapping or touching intervals
+/// merge. Empty for non-positive n_records or record_words. Indexed ops
+/// must carry n_records indices.
+Footprint memory_footprint(const mem::MemOpDesc& desc);
 
 // ---------------------------------------------------------------------------
 // Scatter-assignment race check (blocking schemes).

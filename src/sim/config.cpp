@@ -78,6 +78,41 @@ analysis::Diagnostics MachineConfig::validate() const {
     d.error("MC012", loc, "scatter-add unit configuration must be positive");
   }
 
+  // Queue, MSHR and row geometry: the memory model divides by the row
+  // size and sizes fixed-capacity tables from these at construction.
+  if (mem.dram.row_words <= 0) {
+    d.error("MC016", loc, "DRAM row_words must be positive, got " +
+                              std::to_string(mem.dram.row_words));
+  }
+  if (mem.dram.read_queue_depth <= 0) {
+    d.error("MC017", loc, "DRAM read_queue_depth must be positive, got " +
+                              std::to_string(mem.dram.read_queue_depth));
+  }
+  if (mem.cache.bank_queue_depth <= 0) {
+    d.error("MC018", loc, "cache bank_queue_depth must be positive, got " +
+                              std::to_string(mem.cache.bank_queue_depth));
+  }
+  if (mem.cache.mshrs_per_bank <= 0) {
+    d.error("MC019", loc, "cache mshrs_per_bank must be positive, got " +
+                              std::to_string(mem.cache.mshrs_per_bank));
+  }
+  if (mem.dram.access_latency < 0 || mem.cache.hit_latency < 0) {
+    d.error("MC020", loc,
+            "memory latencies must be non-negative (DRAM access_latency " +
+                std::to_string(mem.dram.access_latency) +
+                ", cache hit_latency " +
+                std::to_string(mem.cache.hit_latency) + ")");
+  }
+  if (mem.cache.line_words > 0 &&
+      mem.dram.write_buffer_words < mem.cache.line_words) {
+    d.error("MC021", loc,
+            "DRAM write_buffer_words (" +
+                std::to_string(mem.dram.write_buffer_words) +
+                ") is smaller than one cache line (" +
+                std::to_string(mem.cache.line_words) +
+                " words); a dirty writeback could never be posted");
+  }
+
   // Kernel scheduler options.
   if (sched.n_fpus <= 0 || sched.srf_words_per_cycle <= 0 ||
       sched.cond_units <= 0) {

@@ -8,6 +8,7 @@
 
 #include "src/analysis/check_stream.h"
 #include "src/obs/registry.h"
+#include "src/sim/kernellane.h"
 
 namespace smd::sim {
 namespace {
@@ -94,10 +95,23 @@ class RunContext {
     advance_next_alloc();
   }
 
+  /// Runs the program on the selected engine.
+  RunStats run(SimEngine engine) {
+    try {
+      return engine == SimEngine::kStepped ? run_stepped() : run_event();
+    } catch (...) {
+      // A kernel still on the lane launched before whatever failed here.
+      // Run inline, its own error would have been thrown at that launch
+      // and ended the run first, so it takes precedence.
+      if (lane_.busy()) static_cast<void>(lane_.collect());
+      throw;
+    }
+  }
+
+ private:
   RunStats run_stepped();
   RunStats run_event();
 
- private:
   // ---- Dependence graph (stream reads/writes). ---------------------------
   void build_dependence_graph() {
     for (int i = 0; i < n_; ++i) {
@@ -269,6 +283,7 @@ class RunContext {
   }
 
   void retire_kernel() {
+    if (lane_.busy()) stats_.interp += lane_.collect();
     auto& is = st_[static_cast<std::size_t>(running_kernel_)];
     stats_.timeline.add(Lane::kKernel, is.start, is.end, is.label);
     stats_.kernel_busy_cycles += is.end - is.start;
@@ -302,20 +317,31 @@ class RunContext {
         std::get<KernelOp>(program_.instrs[static_cast<std::size_t>(i)]);
     auto& is = st_[static_cast<std::size_t>(i)];
 
-    // Functional execution, exact; results land in the SRF buffers now.
-    kernel::StreamBindings bindings;
-    bindings.inputs.resize(k.def->streams.size());
-    bindings.outputs.resize(k.def->streams.size());
+    // Functional execution, exact; results land in the SRF buffers by the
+    // kernel's retirement. Built here so verification and its registry
+    // counts stay on this thread.
+    kernel::KernelExec& exec = executor_for(*k.def);
+    bindings_.inputs.assign(k.def->streams.size(), {});
+    bindings_.outputs.assign(k.def->streams.size(), nullptr);
     for (std::size_t s = 0; s < k.bindings.size(); ++s) {
-      auto& buf = streams_[static_cast<std::size_t>(k.bindings[s])].buffer;
+      auto& ss = streams_[static_cast<std::size_t>(k.bindings[s])];
       if (k.def->streams[s].dir == kernel::StreamDir::kIn) {
-        bindings.inputs[s] = std::span<const double>(buf);
-        bindings.outputs[s] = nullptr;
+        bindings_.inputs[s] = std::span<const double>(ss.buffer);
       } else {
-        bindings.outputs[s] = &buf;
+        ss.buffer.reserve(ss.buffer.size() +
+                          static_cast<std::size_t>(ss.declared_words));
+        bindings_.outputs[s] = &ss.buffer;
       }
     }
-    stats_.interp += executor_for(*k.def).run(bindings, k.rounds);
+    // With memory traffic in flight, run the kernel on the lane while the
+    // memory model advances through its interval; retire_kernel() joins.
+    // With none there is nothing to overlap, and the hand-off would only
+    // add latency, so run it here.
+    if (memsys_.all_done()) {
+      stats_.interp += exec.run(bindings_, k.rounds);
+    } else {
+      lane_.post(exec, bindings_, k.rounds);
+    }
 
     const KernelCost& cost = costs_.get(*k.def);
     const std::uint64_t cycles =
@@ -462,6 +488,11 @@ class RunContext {
   std::vector<int> indegree_;
   std::vector<int> ready_;
   std::vector<int> running_memops_;
+
+  // Kernel functional execution. Declared last, so the lane is joined
+  // before the buffers, executors and bindings its job reads go away.
+  kernel::StreamBindings bindings_;  // the running kernel's; reused
+  KernelLane lane_;
 };
 
 // ---- Cycle-stepped reference engine. --------------------------------------
@@ -522,16 +553,16 @@ RunStats RunContext::run_event() {
   }
 
   auto issue_pass = [&] {
+    // Issued instrs leave the ready list, which is compacted in place.
     bool starved = false;
-    std::vector<int> keep;
-    keep.reserve(ready_.size());
-    for (int i : ready_) {
+    std::size_t kept = 0;
+    for (const int i : ready_) {
       const IssueOutcome out = try_issue(i);
       if (out == IssueOutcome::kIssued) continue;
       if (out == IssueOutcome::kSdrBlocked) starved = true;
-      keep.push_back(i);
+      ready_[kept++] = i;
     }
-    ready_.swap(keep);
+    ready_.resize(kept);
     return starved;
   };
 
@@ -732,8 +763,7 @@ RunStats Controller::run(const StreamProgram& program) {
   }
 
   RunContext ctx(cfg_, memory_, program);
-  RunStats stats = cfg_.engine == SimEngine::kStepped ? ctx.run_stepped()
-                                                      : ctx.run_event();
+  RunStats stats = ctx.run(cfg_.engine);
   record_run_counters(stats, stats.srf_peak_words);
   return stats;
 }

@@ -6,6 +6,7 @@
 
 #include <algorithm>
 #include <cctype>
+#include <cstdint>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -24,6 +25,7 @@
 #include "src/mem/memsys.h"
 #include "src/sim/config.h"
 #include "src/sim/streamop.h"
+#include "src/util/rng.h"
 
 namespace smd {
 namespace {
@@ -613,6 +615,83 @@ TEST(CheckStream, ConcurrentReadWriteOverlapIsSP012) {
   const Diagnostic* g = expect_diag(d, "SP012");
   ASSERT_NE(g, nullptr);
   EXPECT_EQ(g->severity, Severity::kError);
+}
+
+/// Reference footprint: one interval per record, sorted, then merged.
+analysis::Footprint reference_footprint(const mem::MemOpDesc& desc) {
+  analysis::Footprint iv;
+  if (desc.n_records <= 0 || desc.record_words <= 0) return iv;
+  const auto rw = static_cast<std::uint64_t>(desc.record_words);
+  const bool indexed = desc.kind == mem::MemOpKind::kLoadGather ||
+                       desc.kind == mem::MemOpKind::kStoreScatter ||
+                       desc.kind == mem::MemOpKind::kScatterAdd;
+  if (indexed) {
+    for (std::uint64_t idx : desc.indices) {
+      const std::uint64_t lo = desc.base + idx * rw;
+      iv.emplace_back(lo, lo + rw);
+    }
+  } else {
+    const auto stride = static_cast<std::uint64_t>(
+        desc.stride_words == 0 ? desc.record_words : desc.stride_words);
+    for (std::int64_t r = 0; r < desc.n_records; ++r) {
+      const std::uint64_t lo =
+          desc.base + static_cast<std::uint64_t>(r) * stride;
+      iv.emplace_back(lo, lo + rw);
+    }
+  }
+  std::sort(iv.begin(), iv.end());
+  analysis::Footprint merged;
+  for (const auto& [lo, hi] : iv) {
+    if (!merged.empty() && lo <= merged.back().second) {
+      merged.back().second = std::max(merged.back().second, hi);
+    } else {
+      merged.emplace_back(lo, hi);
+    }
+  }
+  return merged;
+}
+
+TEST(CheckStream, FootprintMatchesSortAndMergeReference) {
+  // Random descs of every kind: dense, overlapping, touching and gapped
+  // strides, negative strides, bases near the top of the address space
+  // (record starts that wrap), and gathers with duplicate, adjacent and
+  // huge indices.
+  const mem::MemOpKind kinds[] = {
+      mem::MemOpKind::kLoadStrided, mem::MemOpKind::kStoreStrided,
+      mem::MemOpKind::kLoadGather, mem::MemOpKind::kStoreScatter,
+      mem::MemOpKind::kScatterAdd};
+  util::Rng rng(17);
+  for (int trial = 0; trial < 4000; ++trial) {
+    mem::MemOpDesc d;
+    d.kind = kinds[rng.uniform_u64(5)];
+    d.n_records = static_cast<std::int64_t>(rng.uniform_u64(40)) - 2;
+    d.record_words = static_cast<int>(rng.uniform_u64(12)) - 1;
+    switch (rng.uniform_u64(4)) {
+      case 0: d.base = rng.uniform_u64(1000); break;
+      case 1: d.base = ~std::uint64_t{0} - rng.uniform_u64(300); break;
+      case 2: d.base = rng.next_u64(); break;
+      default: d.base = 0; break;
+    }
+    d.stride_words = static_cast<std::int64_t>(rng.uniform_u64(30)) - 8;
+    if (rng.uniform_u64(10) == 0) {
+      d.stride_words = static_cast<std::int64_t>(rng.next_u64() >> 1);
+    }
+    const bool indexed = d.kind == mem::MemOpKind::kLoadGather ||
+                         d.kind == mem::MemOpKind::kStoreScatter ||
+                         d.kind == mem::MemOpKind::kScatterAdd;
+    if (indexed) {
+      const std::uint64_t span = 1 + rng.uniform_u64(80);
+      for (std::int64_t r = 0; r < std::max<std::int64_t>(d.n_records, 0);
+           ++r) {
+        d.indices.push_back(rng.uniform_u64(8) == 0 ? rng.next_u64()
+                                                    : rng.uniform_u64(span));
+      }
+    }
+    EXPECT_EQ(analysis::memory_footprint(d), reference_footprint(d))
+        << "trial " << trial << ": kind " << static_cast<int>(d.kind)
+        << " base " << d.base << " n " << d.n_records << " rw "
+        << d.record_words << " stride " << d.stride_words;
+  }
 }
 
 // ---------------------------------------------------------------------------

@@ -1,9 +1,18 @@
 // Stream-controller scoreboard semantics: ordering (RAW/WAR/WAW through
 // streams), stream lifetime/SRF accounting, multi-consumer streams, and
-// failure modes.
+// failure modes, including kernels run on the kernel lane.
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
+#include "src/analysis/diag.h"
 #include "src/kernel/ir.h"
+#include "src/kernel/vm.h"
+#include "src/obs/registry.h"
+#include "src/sim/kernellane.h"
 #include "src/sim/machine.h"
 
 namespace smd::sim {
@@ -271,6 +280,155 @@ TEST(Controller, TimelineOccupancyConsistentWithRunStats) {
             stats.cycles);
   EXPECT_EQ(stats.timeline.overlap_cycles(stats.cycles),
             stats.overlap_cycles);
+}
+
+// ---------------------------------------------------------------------------
+// Kernel lane: a kernel launched while memory traffic is in flight runs on
+// the lane thread and is joined at its retirement.
+// ---------------------------------------------------------------------------
+
+/// Threads in this process (Linux), or -1 where /proc is not available.
+int thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  if (ec) return -1;
+  int n = 0;
+  for (; it != std::filesystem::directory_iterator(); ++it) ++n;
+  return n;
+}
+
+/// load `n` words into s0 (declared `declared` words) and, beside it, a
+/// long load into another stream; then x2 over `declared` words of s0.
+/// The kernel launches when the short load retires, while the long one is
+/// still in flight.
+struct OverlapProgram {
+  kernel::KernelDef k2 = make_scale(2.0, "x2");
+  StreamProgram prog;
+  std::uint64_t out = 0;
+
+  OverlapProgram(Machine& machine, int n, int declared) {
+    auto& mem = machine.memory();
+    const int far_words = 8192;
+    const auto in = mem.alloc(declared);
+    const auto far = mem.alloc(far_words);
+    out = mem.alloc(declared);
+    for (int i = 0; i < declared; ++i) {
+      mem.write(in + static_cast<std::uint64_t>(i), i);
+    }
+    const StreamId s0 = prog.new_stream(declared);
+    const StreamId s1 = prog.new_stream(declared);
+    const StreamId s2 = prog.new_stream(far_words);
+    prog.load(strided(in, n), s0);
+    prog.load(strided(far, far_words), s2);
+    prog.kernel(&k2, {s0, s1}, declared / 16);
+    prog.store(strided_store(out, declared), s1);
+    prog.store(strided_store(far, far_words), s2);
+  }
+};
+
+std::vector<MachineConfig> engine_backend_configs() {
+  std::vector<MachineConfig> cfgs;
+  for (SimEngine engine : {SimEngine::kStepped, SimEngine::kEvent}) {
+    for (kernel::KernelBackend backend :
+         {kernel::KernelBackend::kInterp, kernel::KernelBackend::kVm}) {
+      MachineConfig cfg = fast_config();
+      cfg.engine = engine;
+      cfg.kernel_backend = backend;
+      cfgs.push_back(cfg);
+    }
+  }
+  return cfgs;
+}
+
+TEST(KernelLane, KernelOverlapsInFlightMemoryAndComputesExactly) {
+  for (const MachineConfig& cfg : engine_backend_configs()) {
+    Machine machine(cfg);
+    OverlapProgram p(machine, 256, 256);
+    const RunStats stats = machine.run(p.prog);
+    // The premise of the failure test below: memory is busy at launch.
+    EXPECT_GT(stats.overlap_cycles, 0u);
+    for (int i = 0; i < 256; ++i) {
+      EXPECT_DOUBLE_EQ(
+          machine.memory().read(p.out + static_cast<std::uint64_t>(i)),
+          2.0 * i);
+    }
+  }
+}
+
+TEST(KernelLane, InputExhaustedWhileMemoryInFlightKeepsItsError) {
+  // The kernel reads 256 words of a stream the load filled with 128, so
+  // it fails on the lane mid-run. The run must fail with the message the
+  // kernel raises when it runs inline, and leave no thread behind.
+  const int threads_before = thread_count();
+  for (const MachineConfig& cfg : engine_backend_configs()) {
+    Machine machine(cfg);
+    OverlapProgram p(machine, 128, 256);
+    try {
+      machine.run(p.prog);
+      FAIL() << "expected the kernel to run out of input";
+    } catch (const analysis::CheckFailure& e) {
+      FAIL() << "unexpected CheckFailure: " << e.what();
+    } catch (const std::runtime_error& e) {
+      EXPECT_EQ(std::string(e.what()), "x2: input stream 'x' exhausted");
+    }
+    EXPECT_EQ(thread_count(), threads_before);
+  }
+}
+
+TEST(KernelLane, RuntimeCountersLandInThePostersRegistry) {
+  // A kernel corrupted after verification trips the interpreter's runtime
+  // backstop (IR002) on the lane thread; its analysis.runtime counters
+  // must reach the registry the poster had redirected to.
+  kernel::KernelDef def = make_scale(2.0, "x2");
+  kernel::KernelExec exec(def, 4, kernel::KernelBackend::kInterp);
+  for (auto& in : def.body) {
+    if (in.op == kernel::Opcode::kWrite) in.stream = 7;
+  }
+  const std::vector<double> x(64, 1.0);
+  std::vector<double> y;
+  kernel::StreamBindings b;
+  b.inputs = {std::span<const double>(x), {}};
+  b.outputs = {nullptr, &y};
+
+  auto& process = obs::CounterRegistry::process();
+  const std::int64_t process_before =
+      process.counter("analysis.runtime.IR002");
+  obs::CounterRegistry shard;
+  KernelLane lane;
+  {
+    obs::ScopedRegistryRedirect redirect(shard);
+    lane.post(exec, b, 1);
+  }
+  EXPECT_TRUE(lane.busy());
+  EXPECT_THROW(lane.collect(), analysis::CheckFailure);
+  EXPECT_FALSE(lane.busy());
+  EXPECT_EQ(shard.counter("analysis.runtime.IR002"), 1);
+  EXPECT_EQ(shard.counter("analysis.runtime.errors"), 1);
+  EXPECT_EQ(process.counter("analysis.runtime.IR002"), process_before);
+}
+
+TEST(KernelLane, ReusedAcrossJobsAndJoinsAnUncollectedJob) {
+  const kernel::KernelDef def = make_scale(3.0, "x3");
+  kernel::KernelExec exec(def, 4, kernel::KernelBackend::kVm);
+  const std::vector<double> x(64, 2.0);
+  std::vector<double> y;
+  kernel::StreamBindings b;
+  b.inputs = {std::span<const double>(x), {}};
+  b.outputs = {nullptr, &y};
+  {
+    KernelLane lane;
+    for (int job = 0; job < 3; ++job) {
+      y.clear();
+      lane.post(exec, b, 16);
+      const kernel::InterpStats stats = lane.collect();
+      EXPECT_EQ(stats.body_iterations, 64);
+      ASSERT_EQ(y.size(), 64u);
+      EXPECT_DOUBLE_EQ(y[63], 6.0);
+    }
+    y.clear();
+    lane.post(exec, b, 16);  // never collected: the destructor waits
+  }
+  EXPECT_EQ(y.size(), 64u);
 }
 
 }  // namespace

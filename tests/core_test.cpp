@@ -4,6 +4,7 @@
 #include <map>
 #include <set>
 
+#include "src/analysis/diag.h"
 #include "src/core/blocking.h"
 #include "src/core/kernels.h"
 #include "src/core/layouts.h"
@@ -254,6 +255,22 @@ INSTANTIATE_TEST_SUITE_P(AllVariants, EndToEnd,
                          ::testing::Values(Variant::kExpanded, Variant::kFixed,
                                            Variant::kVariable,
                                            Variant::kDuplicated));
+
+TEST(EndToEnd, ZeroDramRowSizeIsRejectedBeforeSimulating) {
+  // row_words = 0 once passed the machine pre-flight and then divided by
+  // zero inside the DRAM model.
+  ExperimentSetup setup;
+  setup.n_molecules = 32;
+  const Problem p = Problem::make(setup);
+  sim::MachineConfig cfg = sim::MachineConfig::merrimac();
+  cfg.mem.dram.row_words = 0;
+  try {
+    run_variant(p, Variant::kExpanded, cfg);
+    FAIL() << "expected CheckFailure";
+  } catch (const analysis::CheckFailure& e) {
+    EXPECT_NE(e.diagnostics().find("MC016"), nullptr) << e.what();
+  }
+}
 
 TEST(EndToEnd, LocalityDominatedByLrf) {
   // Figure 8: ~90%+ of references hit the LRF in every variant.

@@ -54,6 +54,38 @@ TEST(Config, MerrimacParametersMatchPaperTable1) {
               38.4, 1e-9);
 }
 
+TEST(Config, MemoryGeometryGapsAreMachineErrors) {
+  // Each of these once passed validate() and failed deep in the memory
+  // model instead (row_words = 0 is a division by zero in Dram::tick).
+  struct Case {
+    const char* id;
+    void (*mutate)(MachineConfig&);
+  };
+  const Case cases[] = {
+      {"MC016", [](MachineConfig& c) { c.mem.dram.row_words = 0; }},
+      {"MC017", [](MachineConfig& c) { c.mem.dram.read_queue_depth = 0; }},
+      {"MC018", [](MachineConfig& c) { c.mem.cache.bank_queue_depth = -1; }},
+      {"MC019", [](MachineConfig& c) { c.mem.cache.mshrs_per_bank = 0; }},
+      {"MC020", [](MachineConfig& c) { c.mem.dram.access_latency = -1; }},
+      {"MC020", [](MachineConfig& c) { c.mem.cache.hit_latency = -3; }},
+      {"MC021", [](MachineConfig& c) { c.mem.dram.write_buffer_words = 4; }},
+  };
+  ASSERT_EQ(MachineConfig::merrimac().validate().errors(), 0);
+  for (const Case& c : cases) {
+    MachineConfig cfg = MachineConfig::merrimac();
+    c.mutate(cfg);
+    const analysis::Diagnostics d = cfg.validate();
+    EXPECT_EQ(d.errors(), 1) << c.id << ": " << d.format();
+    EXPECT_NE(d.find(c.id), nullptr) << c.id << ": " << d.format();
+  }
+  // A zero-latency memory and a write buffer of exactly one line are legal.
+  MachineConfig edge = MachineConfig::merrimac();
+  edge.mem.dram.access_latency = 0;
+  edge.mem.cache.hit_latency = 0;
+  edge.mem.dram.write_buffer_words = edge.mem.cache.line_words;
+  EXPECT_EQ(edge.validate().errors(), 0) << edge.validate().format();
+}
+
 TEST(Srf, AllocationAccounting) {
   SrfAllocator srf(100);
   EXPECT_TRUE(srf.try_alloc(60));
