@@ -50,13 +50,17 @@ for preset in "${presets[@]}"; do
   ctest --preset "${preset}" -R '^(lockstep_test|controller_test)$' \
     --output-on-failure
   if [ "${preset}" = default ] || [ "${preset}" = asan-ubsan ]; then
-    # Memory-system step/jump equivalence gate (DESIGN.md sections 3.4 and
-    # 10): stepping MemSystem::tick() once per cycle and jumping with
-    # tick_until(next_event_time()) must give identical statistics, op
-    # finish times and memory images over ~200 random op mixes on small,
-    # often non-power-of-two machines, and three pinned mixes must keep
-    # their exact statistics. Re-run standalone so a divergence is named.
-    echo "==== memory-system step/jump equivalence (${preset}) ===="
+    # Memory-system step/jump/completion equivalence gate (DESIGN.md
+    # sections 3.4 and 10): stepping MemSystem::tick() once per cycle,
+    # jumping with tick_until(next_event_time()), and advancing with
+    # tick_until_completion() -- each call stopping exactly on the tick of
+    # the first op completion, as the event engine drives it -- must give
+    # identical statistics, op finish times and memory images over ~200
+    # random op mixes on small, often non-power-of-two machines; three
+    # pinned mixes must keep their exact statistics, and the expiry-ordered
+    # combining store must match a full-scan reference. Re-run standalone
+    # so a divergence is named.
+    echo "==== memory-system step/jump/completion equivalence (${preset}) ===="
     ctest --preset "${preset}" -R '^mem_test$' --output-on-failure
   fi
   # Kernel-backend equivalence gate (DESIGN.md section 17): the compiled
@@ -159,6 +163,14 @@ PYEOF
       -j "$(nproc)"
   fi
 done
+
+# Dead-API audit (advisory, never fails the run): header-declared
+# functions with no caller outside their own translation unit and tests/.
+# Matching is by name only, so review the list before deleting anything.
+if command -v python3 >/dev/null 2>&1; then
+  echo "==== dead API candidates (advisory) ===="
+  python3 scripts/dead_api.py || true
+fi
 
 if command -v clang-tidy >/dev/null 2>&1; then
   tidy_build=${build_dir[${presets[0]}]}

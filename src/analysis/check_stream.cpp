@@ -152,6 +152,9 @@ class StreamChecker {
   struct SlotState {
     bool produced = false;
     bool read_since_produce = false;
+    // Dependence tracking, as the controller builds its edges.
+    int producer = -1;
+    std::vector<int> consumers;
   };
 
   /// `touches`: whether the consumer is guaranteed to access the slot at
@@ -287,13 +290,13 @@ class StreamChecker {
     for (std::size_t c = 0; c < is.consumes.size(); ++c) {
       const StreamId s = is.consumes[c];
       consume(s, i, is.consume_touches[c] != 0);
-      auto& sl = dep_slots_[s];
+      auto& sl = slots_[static_cast<std::size_t>(s)];
       if (sl.producer >= 0) is.deps.push_back(sl.producer);
       sl.consumers.push_back(i);
     }
     for (StreamId s : is.produces) {
       produce(s, i);
-      auto& sl = dep_slots_[s];
+      auto& sl = slots_[static_cast<std::size_t>(s)];
       if (sl.producer >= 0) {
         is.deps.push_back(sl.producer);
         for (int c : sl.consumers) is.deps.push_back(c);
@@ -422,15 +425,9 @@ class StreamChecker {
     }
   }
 
-  struct DepSlot {
-    int producer = -1;
-    std::vector<int> consumers;
-  };
-
   const StreamProgram& program_;
   const StreamCheckOptions& opts_;
   std::vector<SlotState> slots_;
-  std::map<StreamId, DepSlot> dep_slots_;
   std::vector<InstrState> st_;
   Diagnostics out_;
 };

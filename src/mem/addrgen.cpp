@@ -8,7 +8,6 @@ void AddressGenerator::start(const MemOpDesc* desc) {
   desc_ = desc;
   record_ = 0;
   word_in_record_ = 0;
-  word_pos_ = 0;
   n_records_ = desc_ != nullptr ? desc_->n_records : 0;
   record_words_ = desc_ != nullptr ? desc_->record_words : 1;
   if (desc_ != nullptr && !is_strided(desc_->kind) &&

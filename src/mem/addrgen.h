@@ -53,7 +53,6 @@ struct MemOpDesc {
 class AddressGenerator {
  public:
   void start(const MemOpDesc* desc);
-  bool active() const { return desc_ != nullptr && !done(); }
   bool done() const { return record_ >= n_records_; }
 
   /// Next word address without advancing.
@@ -64,16 +63,12 @@ class AddressGenerator {
   /// Advance to the next word.
   void advance() {
     if (done()) return;
-    ++word_pos_;
     if (++word_in_record_ >= record_words_) {
       word_in_record_ = 0;
       ++record_;
       if (!done()) load_record();
     }
   }
-
-  /// Sequential position of the current word within the stream.
-  std::int64_t stream_pos() const { return word_pos_; }
 
  private:
   [[noreturn]] static void exhausted();
@@ -95,7 +90,6 @@ class AddressGenerator {
   int record_words_ = 1;
   std::int64_t record_ = 0;
   int word_in_record_ = 0;
-  std::int64_t word_pos_ = 0;
   std::uint64_t rec_base_ = 0;  ///< word address of record_
 };
 

@@ -55,18 +55,33 @@ class CacheTags {
     return line_words_.div(word_addr);
   }
 
+  /// One way of a set: a resident line's tag state.
+  struct Way {
+    std::uint64_t line = 0;
+    bool valid = false;
+    bool dirty = false;
+    std::uint64_t lru = 0;
+  };
+
   /// Probe (and update LRU on hit). Does not allocate.
   CacheOutcome probe(std::uint64_t word_addr) {
+    return probe_way(word_addr) != nullptr ? CacheOutcome::kHit
+                                           : CacheOutcome::kMiss;
+  }
+
+  /// probe() that hands back the hit way (nullptr on a miss), so a caller
+  /// can dirty the line without a second tag lookup.
+  Way* probe_way(std::uint64_t word_addr) {
     ++tick_;
     ++stats_.accesses;
     Way* way = find(line_of(word_addr));
     if (way == nullptr) {
       ++stats_.misses;
-      return CacheOutcome::kMiss;
+      return nullptr;
     }
     way->lru = tick_;
     ++stats_.hits;
-    return CacheOutcome::kHit;
+    return way;
   }
 
   /// Install a line; returns the evicted line address via out params.
@@ -96,13 +111,6 @@ class CacheTags {
   const CacheConfig& config() const { return cfg_; }
 
  private:
-  struct Way {
-    std::uint64_t line = 0;
-    bool valid = false;
-    bool dirty = false;
-    std::uint64_t lru = 0;
-  };
-
   Way* find(std::uint64_t line_addr) {
     Way* set = &ways_[sets_.mod(line_addr) *
                       static_cast<std::size_t>(cfg_.associativity)];

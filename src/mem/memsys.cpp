@@ -6,6 +6,37 @@
 #include "src/obs/registry.h"
 
 namespace smd::mem {
+namespace {
+
+/// Calls `f(addr, pos, n)` for each contiguous run of `desc`'s words in
+/// stream order: stream words [pos, pos + n) live at word addresses
+/// [addr, addr + n). A dense strided op is a single run; otherwise each
+/// record is one. The functional side of a transfer moves whole runs; the
+/// timing side walks the same words one at a time with an AddressGenerator.
+template <class F>
+void for_each_run(const MemOpDesc& desc, F&& f) {
+  const std::int64_t rw = desc.record_words;
+  if (desc.total_words() <= 0) return;
+  if (is_strided(desc.kind)) {
+    if (desc.stride_words == 0 || desc.stride_words == rw) {
+      f(desc.base, std::int64_t{0}, desc.total_words());
+      return;
+    }
+    for (std::int64_t r = 0; r < desc.n_records; ++r) {
+      f(desc.base + static_cast<std::uint64_t>(r) *
+                        static_cast<std::uint64_t>(desc.stride_words),
+        r * rw, rw);
+    }
+    return;
+  }
+  for (std::int64_t r = 0; r < desc.n_records; ++r) {
+    f(desc.base + desc.indices[static_cast<std::size_t>(r)] *
+                      static_cast<std::uint64_t>(rw),
+      r * rw, rw);
+  }
+}
+
+}  // namespace
 
 std::uint64_t GlobalMemory::alloc(std::int64_t n) {
   const auto base = static_cast<std::uint64_t>(words_.size());
@@ -61,49 +92,59 @@ MemSystem::OpId MemSystem::issue(MemOpDesc desc, std::vector<double>* load_dst,
                                  const std::vector<double>* store_src) {
   const std::int64_t total = desc.total_words();
   const OpId id = static_cast<OpId>(ops_.size());
-
-  // Functional transfer, exact and immediate. Timing completes later; the
-  // stream controller's scoreboard keeps consumers from running early.
-  if (is_load(desc.kind)) {
-    if (load_dst == nullptr) throw std::runtime_error("load without destination");
-    load_dst->clear();
-    AddressGenerator walk;
-    walk.start(&desc);
-    load_dst->resize(static_cast<std::size_t>(total));
-    for (double& v : *load_dst) {
-      v = mem_->read(walk.peek());
-      walk.advance();
-    }
-    stats_.words_loaded += total;
-  } else {
+  if (is_load(desc.kind) && load_dst == nullptr) {
+    throw std::runtime_error("load without destination");
+  }
+  if (is_store(desc.kind)) {
     if (store_src == nullptr) throw std::runtime_error("store without source");
     if (static_cast<std::int64_t>(store_src->size()) < total) {
       throw std::runtime_error("store source shorter than op");
     }
-    AddressGenerator walk;
-    walk.start(&desc);
-    std::int64_t i = 0;
-    while (!walk.done()) {
-      const double v = (*store_src)[static_cast<std::size_t>(i++)];
-      if (desc.kind == MemOpKind::kScatterAdd) {
-        mem_->add(walk.peek(), v);
-      } else {
-        mem_->write(walk.peek(), v);
-      }
-      walk.advance();
+  }
+  auto owned = std::make_unique<Op>();
+  Op& op = *owned;
+  op.desc = std::move(desc);
+  op.ag.start(&op.desc);  // rejects a short index stream before any transfer
+
+  // Functional transfer, exact and immediate, one contiguous run at a time
+  // (addresses are in range: the controller's pre-flight proves it).
+  // Timing completes later; the stream controller's scoreboard keeps
+  // consumers from running early.
+  double* words = mem_->data();
+  if (is_load(op.desc.kind)) {
+    load_dst->clear();
+    load_dst->resize(static_cast<std::size_t>(total));
+    double* dst = load_dst->data();
+    for_each_run(op.desc, [&](std::uint64_t addr, std::int64_t pos,
+                              std::int64_t n) {
+      std::copy_n(words + addr, n, dst + pos);
+    });
+    stats_.words_loaded += total;
+  } else {
+    const double* src = store_src->data();
+    if (op.desc.kind == MemOpKind::kScatterAdd) {
+      // Word by word in stream order, so repeated indices sum in the same
+      // floating-point order as a per-word walk.
+      for_each_run(op.desc, [&](std::uint64_t addr, std::int64_t pos,
+                                std::int64_t n) {
+        for (std::int64_t w = 0; w < n; ++w) words[addr + w] += src[pos + w];
+      });
+    } else {
+      for_each_run(op.desc, [&](std::uint64_t addr, std::int64_t pos,
+                                std::int64_t n) {
+        std::copy_n(src + pos, n, words + addr);
+      });
     }
     stats_.words_stored += total;
   }
 
-  Op& op = *ops_.emplace_back(std::make_unique<Op>());
-  op.desc = std::move(desc);
+  ops_.push_back(std::move(owned));
   op.outstanding = total;
   if (total == 0) {
     op.done = true;
     op.finish_time = now_;
     last_finish_ = std::max(last_finish_, now_);
   } else {
-    op.ag.start(&op.desc);
     ag_queue_.push_back(&op);
     ++active_ops_;
   }
@@ -126,6 +167,7 @@ void MemSystem::finish(Op& op) {
   op.finish_time = now_ + static_cast<std::uint64_t>(cfg_.cache.hit_latency);
   last_finish_ = std::max(last_finish_, op.finish_time);
   --active_ops_;
+  ++completions_;
 }
 
 void MemSystem::retire_word(Op& op, std::int64_t n) {
@@ -271,9 +313,9 @@ bool MemSystem::bank_process_one(Bank& bank) {
       // paper's "full cache bandwidth"). A resident line is updated and
       // dirtied; a miss fetches the line, dirtying it on fill.
       const std::uint64_t line = tags_.line_of(req.addr);
-      if (tags_.probe(req.addr) == CacheOutcome::kHit) {
+      if (CacheTags::Way* way = tags_.probe_way(req.addr)) {
         if (!bank.combining.try_allocate(req.addr, now_)) return false;
-        tags_.mark_dirty(req.addr);
+        way->dirty = true;
         pop_request(bank);
         retire_word(*req.op);
         return true;
@@ -371,7 +413,8 @@ bool MemSystem::all_done() const {
          open_mshrs_ == 0 && dram_.idle();
 }
 
-void MemSystem::tick_until(std::uint64_t t) {
+bool MemSystem::tick_until_completion(std::uint64_t t) {
+  const std::uint64_t completions = completions_;
   while (now_ < t) {
     if (!has_cycle_work()) {
       // Pure wait: the only future activity is the tick that pops the next
@@ -392,7 +435,13 @@ void MemSystem::tick_until(std::uint64_t t) {
       }
     }
     tick();
+    if (completions_ != completions) return true;
   }
+  return false;
+}
+
+void MemSystem::tick_until(std::uint64_t t) {
+  while (now_ < t) tick_until_completion(t);
 }
 
 ScatterAddStats MemSystem::scatter_add_stats() const {

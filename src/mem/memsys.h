@@ -49,6 +49,8 @@ class GlobalMemory {
   void add(std::uint64_t addr, double v) { words_[addr] += v; }
 
   std::int64_t size() const { return static_cast<std::int64_t>(words_.size()); }
+  /// The words themselves, for bulk transfers over checked ranges.
+  double* data() { return words_.data(); }
 
   /// Bulk helpers for program setup/readback.
   void write_block(std::uint64_t addr, const std::vector<double>& data);
@@ -87,12 +89,17 @@ class MemSystem {
   /// Advance one cycle.
   void tick();
 
+  /// Advance toward cycle `t` (t >= now()), stopping after the first tick
+  /// in which an op completes (its last word retires: op_completed turns
+  /// true and op_finish_time is set). Returns true when an op completed,
+  /// false when `t` was reached without one. Bit-identical to the same
+  /// number of tick() calls; pure-wait stretches -- no address generation,
+  /// no bank work, no DRAM channel activity -- are fast-forwarded in O(1)
+  /// instead of being ticked through.
+  bool tick_until_completion(std::uint64_t t);
+
   /// Advance to cycle `t` (t >= now()), bit-identical to `t - now()` calls
-  /// of tick(). Pure-wait stretches -- no address generation, no bank
-  /// work, no DRAM channel activity -- are fast-forwarded in O(1) instead
-  /// of being ticked through; anything else falls back to per-cycle
-  /// tick(). Callers that need to observe op completions promptly should
-  /// bound `t` by next_event_time().
+  /// of tick(): tick_until_completion(t) until `t` is reached.
   void tick_until(std::uint64_t t);
 
   /// Earliest future cycle at which the visible state (op_done answers,
@@ -206,6 +213,7 @@ class MemSystem {
   std::int64_t writebacks_ = 0;  ///< lines in all pending-writeback queues
   std::int64_t open_mshrs_ = 0;  ///< fills in flight across all banks
   std::uint64_t last_finish_ = 0;  ///< latest finish_time of a completed op
+  std::uint64_t completions_ = 0;  ///< finish() calls so far
 };
 
 }  // namespace smd::mem

@@ -11,17 +11,13 @@ CombiningStore::CombiningStore(const ScatterAddConfig& cfg)
                    : 0) {}
 
 void CombiningStore::purge(std::uint64_t now) {
-  // One pass: swap-remove expired entries (lookups are by address, so the
-  // order is free) and recompute the earliest expiry of the rest.
-  earliest_expiry_ = ~0ULL;
-  for (std::size_t i = 0; i < n_;) {
-    if (entries_[i].expiry <= now) {
-      entries_[i] = entries_[--n_];
-    } else {
-      earliest_expiry_ = std::min(earliest_expiry_, entries_[i].expiry);
-      ++i;
-    }
-  }
+  // Entries ascend by expiry: the expired ones are a prefix.
+  const auto used = entries_.begin() + static_cast<std::ptrdiff_t>(n_);
+  const auto live = std::find_if(entries_.begin(), used, [now](const Entry& e) {
+    return e.expiry > now;
+  });
+  n_ = static_cast<std::size_t>(std::copy(live, used, entries_.begin()) -
+                                entries_.begin());
 }
 
 }  // namespace smd::mem

@@ -12,6 +12,7 @@
 // the actual summation is applied functionally by the memory system.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <vector>
 
@@ -31,8 +32,10 @@ struct ScatterAddStats {
 };
 
 /// Combining store for one cache bank: a fixed array of
-/// `combining_entries` slots that caches its earliest expiry, so a purge
-/// is one compare while nothing expires.
+/// `combining_entries` slots kept in ascending expiry order. Every new
+/// window closes `latency` cycles after the call that opens or extends it,
+/// so with a non-decreasing `now` an allocation appends, a merge moves its
+/// entry to the back, and a purge drops an expired prefix.
 class CombiningStore {
  public:
   explicit CombiningStore(const ScatterAddConfig& cfg);
@@ -40,10 +43,13 @@ class CombiningStore {
   /// True if an in-flight addition to `word_addr` exists; merges into it.
   bool try_merge(std::uint64_t word_addr, std::uint64_t now) {
     for (std::size_t i = 0; i < n_; ++i) {
-      Entry& e = entries_[i];
-      if (e.addr != word_addr) continue;
-      // Merging extends the in-flight addition's window by one FU pass.
-      e.expiry = now + latency_;
+      if (entries_[i].addr != word_addr) continue;
+      // Merging extends the in-flight addition's window by one FU pass,
+      // the latest expiry in the store: move the entry to the back.
+      std::copy(entries_.begin() + static_cast<std::ptrdiff_t>(i) + 1,
+                entries_.begin() + static_cast<std::ptrdiff_t>(n_),
+                entries_.begin() + static_cast<std::ptrdiff_t>(i));
+      entries_[n_ - 1] = {word_addr, now + latency_};
       ++stats_.requests;
       ++stats_.combined;
       return true;
@@ -60,17 +66,15 @@ class CombiningStore {
       ++stats_.stalled;
       return false;
     }
-    const std::uint64_t expiry = now + latency_;
-    entries_[n_++] = {word_addr, expiry};
-    if (expiry < earliest_expiry_) earliest_expiry_ = expiry;
+    entries_[n_++] = {word_addr, now + latency_};
     ++stats_.requests;
     ++stats_.issued;
     return true;
   }
 
-  /// Drop entries whose merge window has expired.
+  /// Drop entries whose merge window has expired (expiry <= now).
   void purge_expired(std::uint64_t now) {
-    if (now >= earliest_expiry_) purge(now);
+    if (n_ > 0 && entries_[0].expiry <= now) purge(now);
   }
 
   int occupancy() const { return static_cast<int>(n_); }
@@ -88,8 +92,6 @@ class CombiningStore {
   std::uint64_t latency_;
   std::vector<Entry> entries_;  ///< combining_entries slots, first n_ in use
   std::size_t n_ = 0;
-  /// Lower bound on every entry's expiry (a merge only pushes one later).
-  std::uint64_t earliest_expiry_ = ~0ULL;
   ScatterAddStats stats_;
 };
 

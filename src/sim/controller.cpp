@@ -328,8 +328,10 @@ class RunContext {
       if (k.def->streams[s].dir == kernel::StreamDir::kIn) {
         bindings_.inputs[s] = std::span<const double>(ss.buffer);
       } else {
-        ss.buffer.reserve(ss.buffer.size() +
-                          static_cast<std::size_t>(ss.declared_words));
+        // A slot produced again starts empty, as a load's destination does
+        // (MemSystem::issue): the executors append to their sinks.
+        ss.buffer.clear();
+        ss.buffer.reserve(static_cast<std::size_t>(ss.declared_words));
         bindings_.outputs[s] = &ss.buffer;
       }
     }
@@ -538,8 +540,10 @@ RunStats RunContext::run_stepped() {
 // on_retire. So one issue pass per retirement (over the ready list, in
 // instruction order -- the same forward scan the stepped engine makes)
 // reproduces the stepped engine's decisions exactly, and `now_` can jump
-// straight to the next interesting time: the running kernel's end, the
-// next memory-op completion, or MemSystem::next_event_time().
+// straight to the next retirement: the running kernel's end, a completed
+// memory op's pipeline drain, or the next memory-op completion, which
+// MemSystem::tick_until_completion() stops at. The controller wakes once
+// per such event, not once per simulated cycle.
 RunStats RunContext::run_event() {
   remaining_ = n_;
   event_mode_ = true;
@@ -572,7 +576,7 @@ RunStats RunContext::run_event() {
     update_stall_run(starved);
   }
   while (remaining_ > 0) {
-    // Next time anything can retire or the memory system needs a cycle.
+    // Next time anything can retire, short of a memory-op completion.
     std::uint64_t next = kNoEvent;
     if (running_kernel_ >= 0) {
       const std::uint64_t end =
@@ -585,7 +589,6 @@ RunStats RunContext::run_event() {
         next = std::min(next, std::max(memsys_.op_finish_time(id), now_ + 1));
       }
     }
-    next = std::min(next, memsys_.next_event_time());
     // Deadlock fidelity: the stepped engine checks progress *after* its
     // retire phase, so a retirement landing exactly at last_progress +
     // kDeadlockCycles + 1 still counts. Clamp the jump there; if nothing
@@ -593,11 +596,13 @@ RunStats RunContext::run_event() {
     // the same simulated cycle the stepped engine would.
     next = std::min(next, last_progress_ + kDeadlockCycles + 1);
 
-    // Every cycle in [now_, next) is an issue-phase cycle with the same
+    // The memory system stops early at the first op completion. Every
+    // cycle in [now_, reached) is an issue-phase cycle with the same
     // (starved) verdict the last pass computed.
-    if (starved) stats_.sdr_stall_cycles += next - now_;
-    memsys_.tick_until(next);
-    now_ = next;
+    memsys_.tick_until_completion(next);
+    const std::uint64_t reached = memsys_.now();
+    if (starved) stats_.sdr_stall_cycles += reached - now_;
+    now_ = reached;
 
     bool retired = false;
     if (running_kernel_ >= 0 &&
@@ -606,7 +611,7 @@ RunStats RunContext::run_event() {
       retired = true;
     }
     // Retire finished memory ops in issue order, compacting the rest in
-    // place (this runs about once per simulated cycle).
+    // place.
     std::size_t kept = 0;
     for (const int i : running_memops_) {
       if (memsys_.op_done(st_[static_cast<std::size_t>(i)].mem_id)) {

@@ -14,6 +14,7 @@
 #include "src/obs/registry.h"
 #include "src/sim/kernellane.h"
 #include "src/sim/machine.h"
+#include "tests/differential.h"
 
 namespace smd::sim {
 namespace {
@@ -429,6 +430,44 @@ TEST(KernelLane, ReusedAcrossJobsAndJoinsAnUncollectedJob) {
     lane.post(exec, b, 16);  // never collected: the destructor waits
   }
   EXPECT_EQ(y.size(), 64u);
+}
+
+TEST(Controller, KernelProducingASlotAgainReplacesItsWords) {
+  // load a; x2 {a,b}; store b -> out1; x3 {a,b}; store b -> out2. The
+  // second kernel must replace b's words, not append after the first
+  // kernel's, on both engines and both kernel backends.
+  const int n = 64;
+  const auto k2 = make_scale(2.0, "x2");
+  const auto k3 = make_scale(3.0, "x3");
+  std::uint64_t out1 = 0, out2 = 0;
+  const auto build = [&](Machine& machine) {
+    auto& mem = machine.memory();
+    const auto in = mem.alloc(n);
+    out1 = mem.alloc(n);
+    out2 = mem.alloc(n);
+    for (int i = 0; i < n; ++i) {
+      mem.write(in + static_cast<std::uint64_t>(i), i);
+    }
+    StreamProgram prog;
+    const StreamId a = prog.new_stream(n);
+    const StreamId b = prog.new_stream(n);
+    prog.load(strided(in, n), a);
+    prog.kernel(&k2, {a, b}, n / 16);
+    prog.store(strided_store(out1, n), b);
+    prog.kernel(&k3, {a, b}, n / 16);
+    prog.store(strided_store(out2, n), b);
+    return prog;
+  };
+  const std::vector<MachineConfig> cfgs = engine_backend_configs();
+  const differential::RunImage ref = differential::run_image(cfgs[0], build);
+  for (int i = 0; i < n; ++i) {
+    EXPECT_DOUBLE_EQ(ref.memory[out1 + static_cast<std::uint64_t>(i)], 2.0 * i);
+    EXPECT_DOUBLE_EQ(ref.memory[out2 + static_cast<std::uint64_t>(i)], 3.0 * i);
+  }
+  for (std::size_t c = 1; c < cfgs.size(); ++c) {
+    const differential::RunImage run = differential::run_image(cfgs[c], build);
+    EXPECT_EQ(differential::diff_images(ref, run), "") << "config " << c;
+  }
 }
 
 }  // namespace

@@ -5,6 +5,7 @@
 #include <initializer_list>
 #include <numeric>
 #include <string>
+#include <unordered_map>
 
 #include "src/mem/addrgen.h"
 #include "src/mem/cache.h"
@@ -311,6 +312,96 @@ TEST(CombiningStore, MergeWindowExpires) {
   EXPECT_FALSE(cs.try_merge(7, 18));  // window closed
 }
 
+/// The plain model the expiry-ordered store must match: an unordered
+/// address -> expiry map, purged by a full scan.
+struct ReferenceCombiningStore {
+  std::size_t capacity;
+  std::uint64_t latency;
+  std::unordered_map<std::uint64_t, std::uint64_t> expiry;
+  ScatterAddStats stats;
+
+  bool try_merge(std::uint64_t addr, std::uint64_t now) {
+    const auto it = expiry.find(addr);
+    if (it == expiry.end()) return false;
+    it->second = now + latency;
+    ++stats.requests;
+    ++stats.combined;
+    return true;
+  }
+  bool try_allocate(std::uint64_t addr, std::uint64_t now) {
+    if (expiry.size() >= capacity) {
+      ++stats.stalled;
+      return false;
+    }
+    expiry[addr] = now + latency;
+    ++stats.requests;
+    ++stats.issued;
+    return true;
+  }
+  void purge_expired(std::uint64_t now) {
+    std::erase_if(expiry, [now](const auto& e) { return e.second <= now; });
+  }
+};
+
+template <class T>
+T pick(util::Rng& rng, std::initializer_list<T> choices) {
+  return *(choices.begin() + rng.uniform_u64(choices.size()));
+}
+
+TEST(CombiningStore, MatchesFullScanReference) {
+  // Random merge / allocate / purge sequences at a non-decreasing cycle:
+  // every answer, the occupancy and the statistics must match the
+  // reference after every step.
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    util::Rng rng(seed);
+    ScatterAddConfig cfg;
+    cfg.latency = pick(rng, {1, 4, 9});
+    cfg.combining_entries = pick(rng, {1, 2, 3, 8});
+    CombiningStore cs(cfg);
+    ReferenceCombiningStore ref{static_cast<std::size_t>(cfg.combining_entries),
+                                static_cast<std::uint64_t>(cfg.latency),
+                                {},
+                                {}};
+    const std::uint64_t n_addrs = pick<std::uint64_t>(rng, {2, 5, 16});
+    std::uint64_t now = 1;
+    for (int step = 0; step < 400; ++step) {
+      now += pick<std::uint64_t>(rng, {0, 0, 1, 1, 2, 7});
+      const std::uint64_t addr = rng.uniform_u64(n_addrs);
+      switch (rng.uniform_u64(4)) {
+        case 0: {  // a bank's scatter-add: purge, merge, else allocate
+          cs.purge_expired(now - 1);
+          ref.purge_expired(now - 1);
+          const bool merged = cs.try_merge(addr, now);
+          ASSERT_EQ(merged, ref.try_merge(addr, now)) << "seed " << seed;
+          if (!merged) {
+            ASSERT_EQ(cs.try_allocate(addr, now), ref.try_allocate(addr, now))
+                << "seed " << seed;
+          }
+          break;
+        }
+        case 1:  // a merge that may find a window closed but not purged
+          ASSERT_EQ(cs.try_merge(addr, now), ref.try_merge(addr, now))
+              << "seed " << seed;
+          break;
+        default: {
+          const std::uint64_t at = now - rng.uniform_u64(2);
+          cs.purge_expired(at);
+          ref.purge_expired(at);
+          break;
+        }
+      }
+      ASSERT_EQ(cs.occupancy(), static_cast<int>(ref.expiry.size()))
+          << "seed " << seed << " step " << step;
+      const ScatterAddStats& a = cs.stats();
+      const ScatterAddStats& b = ref.stats;
+      ASSERT_EQ(a.requests, b.requests) << "seed " << seed;
+      ASSERT_EQ(a.combined, b.combined) << "seed " << seed;
+      ASSERT_EQ(a.issued, b.issued) << "seed " << seed;
+      ASSERT_EQ(a.stalled, b.stalled) << "seed " << seed;
+    }
+  }
+}
+
 // ---------------------------------------------------------------------------
 // MemSystem end-to-end
 // ---------------------------------------------------------------------------
@@ -574,11 +665,6 @@ struct Mix {
   std::vector<Issue> ops;
 };
 
-template <class T>
-T pick(util::Rng& rng, std::initializer_list<T> choices) {
-  return *(choices.begin() + rng.uniform_u64(choices.size()));
-}
-
 Mix random_mix(std::uint64_t seed) {
   util::Rng rng(seed);
   Mix m;
@@ -662,14 +748,19 @@ struct MixRun {
   std::vector<std::uint64_t> finish;
   std::vector<std::uint64_t> image;  ///< memory words as bit patterns
   std::vector<std::vector<double>> loaded;
+  int early_stops = 0;  ///< kCompletion calls that stopped short of `t`
 };
 
-enum class Drive { kStep, kJump };
+enum class Drive { kStep, kJump, kCompletion };
 
 /// Run a mix to quiescence. kStep calls tick() once per cycle -- the
-/// oracle. kJump advances the way the event engine does: tick_until() to
-/// the next event (bounded by pending op pipeline drains), alternating
-/// with single long tick_until() leaps to the next issue cycle.
+/// oracle. kJump advances with tick_until() to the next event (bounded by
+/// pending op pipeline drains), alternating with single long tick_until()
+/// leaps to the next issue cycle. kCompletion advances the way the event
+/// engine does: tick_until_completion() towards the next issue cycle or
+/// pipeline drain, unbounded otherwise while an op is still in flight,
+/// and checks that every call stops exactly on the tick of the first op
+/// completion, or at its target.
 MixRun run_mix(const Mix& m, Drive drive) {
   GlobalMemory mem;
   mem.alloc(m.memory_words);
@@ -680,8 +771,8 @@ MixRun run_mix(const Mix& m, Drive drive) {
   MixRun out;
   out.loaded.resize(m.ops.size());
   std::vector<MemSystem::OpId> ids;
-  const auto next_event = [&] {
-    std::uint64_t t = ms.next_event_time();
+  const auto next_drain = [&] {
+    std::uint64_t t = MemSystem::kNever;
     for (const MemSystem::OpId id : ids) {
       if (ms.op_completed(id) && !ms.op_done(id)) {
         t = std::min(t, std::max(ms.op_finish_time(id), ms.now() + 1));
@@ -689,10 +780,46 @@ MixRun run_mix(const Mix& m, Drive drive) {
     }
     return t;
   };
+  const auto next_event = [&] {
+    return std::min(ms.next_event_time(), next_drain());
+  };
+  const auto hit_latency =
+      static_cast<std::uint64_t>(m.cfg.cache.hit_latency);
+  const auto advance_to_completion = [&](std::uint64_t t) {
+    std::vector<bool> was_completed;
+    for (const MemSystem::OpId id : ids) {
+      was_completed.push_back(ms.op_completed(id));
+    }
+    const bool stopped = ms.tick_until_completion(t);
+    bool completed = false;
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      if (was_completed[k] || !ms.op_completed(ids[k])) continue;
+      completed = true;
+      // finish_time is the completion tick plus the pipeline drain: an op
+      // that completed on an earlier tick of this call shows up here.
+      if (ms.op_finish_time(ids[k]) != ms.now() + hit_latency) {
+        ADD_FAILURE() << "op " << k << " completed at "
+                      << ms.op_finish_time(ids[k]) - hit_latency
+                      << ", call returned at " << ms.now();
+      }
+    }
+    if (stopped != completed) {
+      ADD_FAILURE() << "tick_until_completion returned " << stopped
+                    << " with completion " << completed;
+    }
+    if (!stopped && ms.now() != t) {
+      ADD_FAILURE() << "no completion, stopped at " << ms.now()
+                    << " short of " << t;
+    }
+    if (stopped && ms.now() < t) ++out.early_stops;
+  };
+  constexpr std::uint64_t kDrainLimit = 10'000'000;
   for (std::size_t k = 0; k < m.ops.size(); ++k) {
     const Mix::Issue& op = m.ops[k];
     if (drive == Drive::kStep) {
       while (ms.now() < op.at) ms.tick();
+    } else if (drive == Drive::kCompletion) {
+      while (ms.now() < op.at) advance_to_completion(op.at);
     } else if (k % 2 == 0) {
       ms.tick_until(op.at);
     } else {
@@ -705,6 +832,12 @@ MixRun run_mix(const Mix& m, Drive drive) {
   while (!ms.all_done()) {
     if (drive == Drive::kStep) {
       ms.tick();
+    } else if (drive == Drive::kCompletion) {
+      const bool in_flight = std::any_of(
+          ids.begin(), ids.end(),
+          [&](MemSystem::OpId id) { return !ms.op_completed(id); });
+      advance_to_completion(in_flight ? std::min(next_drain(), kDrainLimit + 1)
+                                      : next_event());
     } else {
       const std::uint64_t t = next_event();
       if (t == MemSystem::kNever) {
@@ -713,7 +846,7 @@ MixRun run_mix(const Mix& m, Drive drive) {
       }
       ms.tick_until(t);
     }
-    if (ms.now() > 10'000'000) {
+    if (ms.now() > kDrainLimit) {
       ADD_FAILURE() << "memory system did not drain";
       break;
     }
@@ -777,6 +910,26 @@ TEST(MemSystemProperty, SteppedAndJumpedRunsAreBitIdentical) {
   EXPECT_GT(stalled, 10);
   EXPECT_GT(retried_misses, 10);
   EXPECT_GT(fast_forwards, 10);
+}
+
+TEST(MemSystemProperty, CompletionBoundedRunsMatchStepped) {
+  // The event engine's advance: each tick_until_completion() call must stop
+  // on the tick of the first op completion (checked inside run_mix), and
+  // the whole run must match per-cycle tick() exactly.
+  int early_stops = 0;
+  for (std::uint64_t seed = 1; seed <= 200; ++seed) {
+    const Mix m = random_mix(seed);
+    const MixRun step = run_mix(m, Drive::kStep);
+    const MixRun comp = run_mix(m, Drive::kCompletion);
+    ASSERT_EQ(step.stats, comp.stats)
+        << "seed " << seed << ":" << stats_diff(step.stats, comp.stats);
+    ASSERT_EQ(step.finish, comp.finish) << "seed " << seed;
+    ASSERT_EQ(step.image, comp.image) << "seed " << seed;
+    ASSERT_EQ(step.loaded, comp.loaded) << "seed " << seed;
+    early_stops += comp.early_stops;
+  }
+  // Completions regularly land before the next issue cycle or drain.
+  EXPECT_GT(early_stops, 200);
 }
 
 TEST(MemSystemProperty, PinnedMixStats) {
